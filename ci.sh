@@ -163,7 +163,7 @@ echo "delivery smoke: OK"
 
 # Event-runtime smoke: a seeded event-mode run must produce the same
 # dissemination result as the lock-step engine — identical trace behaviour
-# (the headers differ only by the `mode` meta stamp and runtime gauges,
+# (the headers differ only by the `mode` meta stamp,
 # hence --ignore meta), wall-clock metrics reported, and the sweep_async
 # suite must emit its JSON artifact and gate against itself.
 rm -rf target/ci-event

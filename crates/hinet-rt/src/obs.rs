@@ -416,15 +416,6 @@ pub struct Counters {
     pub recoveries: u64,
     /// Recovery retransmissions sent.
     pub retransmits: u64,
-    /// Event-mode: steps that found their round quorum not yet assembled
-    /// and parked at least once waiting for it.
-    ///
-    /// The two runtime counters are serialised only when nonzero, so
-    /// lock-step artifacts are byte-identical to pre-event-runtime ones.
-    pub reassembly_stalls: u64,
-    /// Event-mode: high-water mark of any single mailbox's queued
-    /// envelope count.
-    pub mailbox_depth_max: u64,
     /// Deliveries held back by the fault plane's delay knob.
     ///
     /// The adversarial-delivery counters below are serialised only when
@@ -671,18 +662,6 @@ impl Tracer {
         self.meta.push((key.into(), value.into()));
     }
 
-    /// Record the event-runtime gauges (reassembly stalls and the mailbox
-    /// depth high-water mark) into the counters. Called once at the end of
-    /// an event-mode run; lock-step runs never call it, so their artifacts
-    /// are unchanged (the counters serialise only when nonzero).
-    pub fn note_runtime(&mut self, reassembly_stalls: u64, mailbox_depth_max: u64) {
-        if !self.enabled() {
-            return;
-        }
-        self.counters.reassembly_stalls = reassembly_stalls;
-        self.counters.mailbox_depth_max = mailbox_depth_max;
-    }
-
     /// Declare the phase length `T`: [`Tracer::round_start`] then emits
     /// [`Event::PhaseAdvance`] automatically at rounds `0, T, 2T, …` and
     /// records each completed phase's round count in the histogram.
@@ -876,8 +855,7 @@ impl Tracer {
     }
 
     /// Record the receive plane's duplicate-discard gauge into the
-    /// counters. Like [`Tracer::note_runtime`], called once at the end of a
-    /// run; chaos-free runs never call it with a nonzero value, so their
+    /// counters. Called once at the end of a run; chaos-free runs never call it with a nonzero value, so their
     /// artifacts are unchanged.
     pub fn note_dedup(&mut self, dups_discarded: u64) {
         if !self.enabled() {
@@ -1061,8 +1039,6 @@ fn counters_json(c: &Counters) -> Json {
         ("crashes", c.crashes),
         ("recoveries", c.recoveries),
         ("retransmits", c.retransmits),
-        ("reassembly_stalls", c.reassembly_stalls),
-        ("mailbox_depth_max", c.mailbox_depth_max),
         ("delays_injected", c.delays_injected),
         ("duplicates_injected", c.duplicates_injected),
         ("retransmit_timeouts", c.retransmit_timeouts),
@@ -1260,7 +1236,8 @@ impl ParsedTrace {
             tokens_by_role[i] = r.as_u64().ok_or("non-integer tokens_by_role entry")?;
         }
         // Fault counters default to 0 when absent: they are only written
-        // when nonzero, and older traces predate them entirely.
+        // when nonzero, and older traces predate them entirely. Unknown keys
+        // (such as the retired event-runtime gauges) are ignored.
         let opt_counter =
             |v: &Json, key: &str| -> u64 { v.get(key).and_then(Json::as_u64).unwrap_or(0) };
         let counters = Counters {
@@ -1275,8 +1252,6 @@ impl ParsedTrace {
             crashes: opt_counter(c, "crashes"),
             recoveries: opt_counter(c, "recoveries"),
             retransmits: opt_counter(c, "retransmits"),
-            reassembly_stalls: opt_counter(c, "reassembly_stalls"),
-            mailbox_depth_max: opt_counter(c, "mailbox_depth_max"),
             delays_injected: opt_counter(c, "delays_injected"),
             duplicates_injected: opt_counter(c, "duplicates_injected"),
             retransmit_timeouts: opt_counter(c, "retransmit_timeouts"),
@@ -1319,18 +1294,15 @@ impl ParsedTrace {
 
     /// Recompute the counters from the recorded event stream.
     ///
-    /// `bytes_sent`, the event-runtime gauges (`reassembly_stalls`,
-    /// `mailbox_depth_max`) and the dedup gauge (`dups_discarded`) are
-    /// copied from the header — events carry neither byte costs nor
-    /// scheduler/receive-plane state, so they cannot be recounted. For a
+    /// `bytes_sent` and the dedup gauge (`dups_discarded`) are copied from
+    /// the header — events carry neither byte costs nor receive-plane
+    /// state, so they cannot be recounted. For a
     /// complete trace ([`ParsedTrace::is_complete`]) every other field must
     /// equal the header's counters; a mismatch means the artifact was
     /// truncated or hand-edited (the golden-corpus hygiene gate).
     pub fn recount_events(&self) -> Counters {
         let mut c = Counters {
             bytes_sent: self.counters.bytes_sent,
-            reassembly_stalls: self.counters.reassembly_stalls,
-            mailbox_depth_max: self.counters.mailbox_depth_max,
             dups_discarded: self.counters.dups_discarded,
             ..Counters::default()
         };
@@ -1561,12 +1533,6 @@ impl TraceSummary {
             out.push_str(&format!(
                 "faults: {} dropped deliveries, {} crashes, {} recoveries, {} retransmits\n",
                 c.faults_injected, c.crashes, c.recoveries, c.retransmits,
-            ));
-        }
-        if c.reassembly_stalls + c.mailbox_depth_max > 0 {
-            out.push_str(&format!(
-                "event runtime: {} reassembly stalls, mailbox depth high-water {}\n",
-                c.reassembly_stalls, c.mailbox_depth_max,
             ));
         }
         if c.delays_injected + c.duplicates_injected + c.dups_discarded + c.retransmit_timeouts > 0

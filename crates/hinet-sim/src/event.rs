@@ -928,7 +928,6 @@ pub(crate) fn run<P: Protocol + Send>(
     let stalls = shared.stalls.load(Ordering::Relaxed);
     let depth = shared.transport.max_depth() as u64;
     if tracing {
-        tracer.note_runtime(stalls, depth);
         tracer.note_dedup(metrics.dups_discarded);
     }
 

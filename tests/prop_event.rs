@@ -5,8 +5,9 @@
 //! Five contracts: (a) an event-mode run of any engine scenario produces
 //! the same dissemination result (completion round, outcome, paper
 //! metrics) as the lock-step engine, across worker counts; (b) the trace
-//! event stream is byte-identical between the modes — only the header
-//! (the `mode` meta stamp and the runtime gauges) may differ; (c) an
+//! event stream is byte-identical between the modes — only the header's
+//! `mode` meta stamp may differ, because the header counters hold only
+//! values that are a pure function of the seeds; (c) an
 //! event-mode run replays byte-for-byte under the same seeds; (d) the
 //! equivalence survives the fault plane, including the crash-mid-round
 //! edge case where a node restarts while its neighbours' round messages
