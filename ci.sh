@@ -68,11 +68,12 @@ if echo "$summary" | grep -q MISMATCH; then
 fi
 echo "trace smoke: OK"
 
-# Golden self-diff: every pinned trace under tests/golden/ must reproduce
-# byte-for-byte behaviour when its scenario (read from the artifact's own
-# metadata) is re-run live. A non-empty diff names the first diverging
-# round and fails the gate; bless intentional changes with --update-golden.
-for golden in tests/golden/*.jsonl; do
+# Golden self-diff: every pinned trace under tests/golden/ and its chaos/
+# subdirectory must reproduce byte-for-byte behaviour when its scenario
+# (read from the artifact's own metadata) is re-run live. A non-empty diff
+# names the first diverging round and fails the gate; bless intentional
+# changes with --update-golden.
+for golden in tests/golden/*.jsonl tests/golden/chaos/*.jsonl; do
     if [[ "$update_golden" == 1 ]]; then
         ./target/release/hinet trace --diff "$golden" --update-golden
     else
