@@ -20,9 +20,9 @@ use gf2::{Gf2Basis, Gf2Vec};
 use hinet_graph::graph::NodeId;
 use hinet_graph::rng::stream_rng;
 use hinet_graph::trace::TopologyProvider;
-use hinet_rt::obs::{FaultKind, Role, Tracer};
+use hinet_rt::obs::{Role, Tracer};
+use hinet_sim::delivery::Plane;
 use hinet_sim::engine::{CostWeights, RunConfig};
-use hinet_sim::reliable::{ReceiverLedger, ReliableConfig, SenderWindow};
 use hinet_sim::token::TokenId;
 
 /// Outcome of an RLNC run.
@@ -75,8 +75,9 @@ impl RlncReport {
 ///   flat, there is no hierarchy to attribute. Byte accounting uses
 ///   [`RunConfig::cost_weights`] plus the `⌈k/8⌉`-byte coefficient header
 ///   (see [`RlncReport::total_bytes`]).
-/// * **faults** ([`RunConfig::faults`]) — per-delivery loss and partition
-///   cuts suppress basis inserts at the receiver (the sender still pays
+/// * **faults** ([`RunConfig::faults`]) — every delivery passes the same
+///   [`hinet_sim::delivery::Plane`] as the lock-step engine. Per-delivery
+///   loss and partition cuts suppress basis inserts at the receiver (the sender still pays
 ///   for the packet), and crashed nodes go silent for `down_rounds`
 ///   rounds, losing their accumulated basis unless the plan declares
 ///   tokens durable. The dissemination RNG streams are never consulted by
@@ -90,7 +91,7 @@ impl RlncReport {
 ///   shuffles each receiver's per-round insert order (a span-preserving
 ///   permutation).
 /// * **reliability** ([`RunConfig::reliable`]) — each delivery registers
-///   in a per-sender [`SenderWindow`]; unacked packets retransmit on the
+///   in a per-sender [`hinet_sim::reliable::SenderWindow`]; unacked packets retransmit on the
 ///   backed-off timer (each re-send pays one packet), receivers dedup by
 ///   reliable id, and acks apply at the round barrier exactly like the
 ///   lock-step engine. Active only alongside a non-trivial fault plan.
@@ -148,26 +149,13 @@ pub fn run_rlnc(
     }
 
     let trivial = faults.is_trivial();
-    let reliable = cfg.reliable && !trivial;
     let mut down_until = vec![0usize; n];
     let mut was_down = vec![false; n];
-    // Delayed packets held for their matured round, per receiver:
-    // `(due round, sender, rid, packet)`.
-    let mut delayed: Vec<Vec<(usize, usize, u64, Gf2Vec)>> = vec![Vec::new(); n];
-    let mut plane: Option<(Vec<SenderWindow<Gf2Vec>>, Vec<ReceiverLedger>)> = reliable.then(|| {
-        let windows = (0..n)
-            .map(|u| {
-                // Same per-sender jitter seed derivation as the engine.
-                let s = faults.seed ^ (u as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                SenderWindow::new(s, ReliableConfig::default())
-            })
-            .collect();
-        (windows, (0..n).map(|_| ReceiverLedger::new()).collect())
-    });
+    // The shared delivery plane: gate chain, held delayed packets and the
+    // optional reliability layer, exactly as in the lock-step engine.
+    let mut plane: Plane<'_, Gf2Vec> = Plane::new(faults, cfg.reliable, n);
 
     let mut packets_sent = 0u64;
-    let mut retransmits = 0u64;
-    let mut dups_discarded = 0u64;
     let mut completion_round = None;
     let mut rounds_executed = 0;
     for round in 0..max_rounds {
@@ -200,77 +188,29 @@ pub fn run_rlnc(
                 }
             }
         }
+        let is_down = |v: usize| round < down_until[v];
         // Per-receiver insert lists for the round: matured delayed packets
         // first, then timer retransmissions, then fresh deliveries —
         // applied after the send phase so every send combination is drawn
         // from the pre-round bases.
         let mut incoming: Vec<Vec<Gf2Vec>> = vec![Vec::new(); n];
-        if !trivial && faults.delay_ppm > 0 {
-            for v in 0..n {
-                let held = std::mem::take(&mut delayed[v]);
-                for (due, from, rid, pkt) in held {
-                    if due > round {
-                        delayed[v].push((due, from, rid, pkt));
-                        continue;
-                    }
-                    if round < down_until[v] {
-                        continue; // matured into a down receiver: lost
-                    }
-                    if let Some((_, ledgers)) = plane.as_mut() {
-                        if !ledgers[v].accept(from, rid) {
-                            dups_discarded += 1;
-                            continue;
-                        }
-                    }
+        plane.mature(round, is_down, |v, _, pkt| incoming[v].push(pkt));
+        // Reliability-timer retransmissions: one packet each.
+        for u in (0..n).filter(|&u| !is_down(u)) {
+            let me = NodeId::from_index(u);
+            let edge = |v: usize| graph.neighbors(me).contains(&NodeId::from_index(v));
+            for rt in plane.due(u, round, edge) {
+                packets_sent += 1;
+                let v = rt.to;
+                if let Some(pkt) = plane.resend(round, u, rt, is_down(v), tracer) {
                     incoming[v].push(pkt);
-                }
-            }
-        }
-        // Reliability-timer retransmissions: full packet cost, original
-        // rid (receiver ledgers dedup), no delay/dup re-roll — only the
-        // loss gates apply.
-        if let Some((windows, ledgers)) = plane.as_mut() {
-            for u in 0..n {
-                if !trivial && round < down_until[u] {
-                    continue;
-                }
-                let me = NodeId::from_index(u);
-                for rt in windows[u].due(round) {
-                    let v = rt.to;
-                    if !graph.neighbors(me).contains(&NodeId::from_index(v)) {
-                        continue; // no edge this round; the timer re-fires
-                    }
-                    packets_sent += 1;
-                    retransmits += 1;
-                    tracer.retransmit_timeout(round as u64, u as u64, v as u64, rt.attempt);
-                    if round < down_until[v] {
-                        continue;
-                    }
-                    if !trivial {
-                        let kind = if faults.partitioned(round, u, v) {
-                            Some(FaultKind::Partition)
-                        } else if faults.drops_message(round, u, v) {
-                            Some(FaultKind::Loss)
-                        } else {
-                            None
-                        };
-                        if let Some(kind) = kind {
-                            tracer.fault_injected(round as u64, u as u64, Some(v as u64), kind);
-                            continue;
-                        }
-                    }
-                    if ledgers[v].accept(u, rt.rid) {
-                        incoming[v].push(rt.item);
-                    } else {
-                        dups_discarded += 1;
-                    }
                 }
             }
         }
         // Send phase: simultaneous, so collect first.
         let outgoing: Vec<Option<Gf2Vec>> = (0..n)
             .map(|u| {
-                if !trivial && round < down_until[u] {
+                if is_down(u) {
                     None
                 } else {
                     bases[u].random_combination(&mut rngs[u])
@@ -285,67 +225,27 @@ pub fn run_rlnc(
                 tracer.head_broadcast(round as u64, u as u64, pivot, 1, Role::Member, packet_bytes);
             }
             for &v in graph.neighbors(NodeId::from_index(u)) {
-                // Register before any gate, so a lost delivery still
-                // retransmits on timer.
-                let rid = match plane.as_mut() {
-                    Some((windows, _)) => windows[u].register(v.index(), pkt.clone(), round),
-                    None => 0,
-                };
-                if !trivial {
-                    if round < down_until[v.index()] {
-                        continue; // deliveries to crashed nodes are lost
-                    }
-                    let kind = if faults.partitioned(round, u, v.index()) {
-                        Some(FaultKind::Partition)
-                    } else if faults.drops_message(round, u, v.index()) {
-                        Some(FaultKind::Loss)
-                    } else {
-                        None
-                    };
-                    if let Some(kind) = kind {
-                        tracer.fault_injected(round as u64, u as u64, Some(v.0 as u64), kind);
-                        continue;
-                    }
-                    let d = faults.delay_of(round, u, v.index(), 0);
-                    if d > 0 {
-                        tracer.delayed(round as u64, u as u64, v.0 as u64, d as u64);
-                        delayed[v.index()].push((round + d, u, rid, pkt.clone()));
-                        continue;
-                    }
-                    if faults.duplicates(round, u, v.index(), 0) {
-                        // A duplicate insert is a GF(2) no-op: counted as
-                        // injected and immediately discarded.
-                        tracer.duplicated(round as u64, u as u64, v.0 as u64);
-                        dups_discarded += 1;
-                    }
+                let v = v.index();
+                // A duplicate insert is a GF(2) no-op, so the plane's
+                // on-the-spot discard is exact.
+                let hop = (u, v, 0);
+                if let Some(pkt) = plane.send(round, hop, pkt.clone(), || is_down(v), tracer) {
+                    incoming[v].push(pkt);
                 }
-                if let Some((_, ledgers)) = plane.as_mut() {
-                    if !ledgers[v.index()].accept(u, rid) {
-                        dups_discarded += 1;
-                        continue;
-                    }
-                }
-                incoming[v.index()].push(pkt.clone());
             }
         }
         // Apply the round's inserts; reorder shuffles each receiver's
         // insert order (the GF(2) span is permutation-invariant, so this
         // exercises the pathology without changing what decodes).
         for (v, mut pkts) in incoming.into_iter().enumerate() {
-            if !trivial && faults.reorder {
-                faults.shuffle(round, v, &mut pkts);
-            }
+            faults.shuffle(round, v, &mut pkts);
             for pkt in pkts {
                 bases[v].insert(pkt);
             }
         }
         // Omniscient round-barrier ack sync, exactly like the lock-step
         // engine: every sender learns each receiver's cumulative ack.
-        if let Some((windows, ledgers)) = plane.as_mut() {
-            for (u, w) in windows.iter_mut().enumerate() {
-                w.sync_acks(|to| ledgers[to].cum(u));
-            }
-        }
+        plane.sync_acks();
         rounds_executed = round + 1;
         if all_complete(&bases) {
             completion_round = Some(rounds_executed);
@@ -353,15 +253,15 @@ pub fn run_rlnc(
         }
     }
 
-    if tracer.enabled() && dups_discarded > 0 {
-        tracer.note_dedup(dups_discarded);
+    if plane.tally.dups_discarded > 0 {
+        tracer.note_dedup(plane.tally.dups_discarded);
     }
     tracer.run_end(rounds_executed as u64, completion_round.is_some());
     RlncReport {
         completion_round,
         rounds_executed,
         packets_sent,
-        retransmits,
+        retransmits: plane.tally.retransmit_timeouts,
         k,
     }
 }

@@ -19,9 +19,9 @@
 //! so traced and faulted runs are **byte-identical regardless of thread
 //! count**.
 
+use crate::delivery::{note_fault, Plane, Record, Tally};
 use crate::fault::FaultPlan;
 use crate::protocol::{Destination, Incoming, LocalView, Outgoing, Payload, Protocol};
-use crate::reliable::{ReceiverLedger, ReliableConfig, SenderWindow};
 use crate::token::{TokenId, TokenSet};
 use hinet_cluster::clustering::{re_elect, GatewayPolicy};
 use hinet_cluster::ctvg::HierarchyProvider;
@@ -29,7 +29,7 @@ use hinet_cluster::hierarchy::{Hierarchy, Role};
 use hinet_graph::csr::CsrGraph;
 use hinet_graph::graph::NodeId;
 use hinet_graph::Graph;
-use hinet_rt::obs::{self, FaultKind, Tracer};
+use hinet_rt::obs::{self, Tracer};
 use hinet_rt::pool;
 use std::fmt;
 use std::str::FromStr;
@@ -405,6 +405,21 @@ pub struct MessageRecord {
     pub tokens: Vec<TokenId>,
 }
 
+impl MessageRecord {
+    /// The record of `out`, sent by `from` in `round`; a unicast's
+    /// `delivered` says whether its target was a neighbour.
+    pub(crate) fn new(round: usize, from: NodeId, out: &Outgoing, delivered: bool) -> Self {
+        let to = out.dest.target();
+        MessageRecord {
+            round,
+            from,
+            to,
+            delivered: to.is_none() || delivered,
+            tokens: out.payload.to_vec(),
+        }
+    }
+}
+
 /// Byte-level cost weights for converting the token/packet counters into
 /// radio airtime estimates.
 ///
@@ -494,6 +509,34 @@ impl Metrics {
     /// `tokens·token_bytes + packets·header_bytes`.
     pub fn total_bytes(&self, w: CostWeights) -> u64 {
         self.tokens_sent * w.token_bytes + self.packets_sent * w.packet_header_bytes
+    }
+
+    /// Add one round's send costs, and its series entry when
+    /// `record_round` is set.
+    pub(crate) fn add_sends(&mut self, s: &Sends, record_round: bool, informed_nodes: usize) {
+        self.tokens_sent += s.tokens;
+        self.packets_sent += s.packets;
+        for (a, b) in self.tokens_by_role.iter_mut().zip(s.by_role) {
+            *a += b;
+        }
+        self.dropped_unicasts += s.dropped_unicasts;
+        self.retransmits += s.retransmits;
+        if record_round {
+            self.rounds.push(RoundMetrics {
+                tokens_sent: s.tokens,
+                packets_sent: s.packets,
+                informed_nodes,
+            });
+        }
+    }
+
+    /// Add the delivery plane's counters.
+    pub(crate) fn absorb(&mut self, t: &Tally) {
+        self.faults_injected += t.faults_injected;
+        self.delays_injected += t.delays_injected;
+        self.duplicates_injected += t.duplicates_injected;
+        self.dups_discarded += t.dups_discarded;
+        self.retransmit_timeouts += t.retransmit_timeouts;
     }
 }
 
@@ -653,38 +696,166 @@ impl RunReport {
     }
 }
 
-/// Flat per-node engine state, one arena column per field (SoA layout):
-/// everything the round loop touches per node sits in contiguous memory
-/// indexed by node id, so the hot phases stream instead of chasing
-/// pointers. Protocol-internal state (`TA`/`TS`/`TR`, phase counters) lives
-/// in the caller's equally flat `Vec<P>`.
-struct NodeArenas {
+/// One round as every node sees it: the topology's flat CSR view, the
+/// hierarchy after any crash re-election, and the round's crash and down
+/// state. Both execution modes build it with [`Rounds`].
+pub(crate) struct RoundCtx {
+    pub(crate) csr: Arc<CsrGraph>,
+    pub(crate) hierarchy: Arc<Hierarchy>,
+    /// `down[i]`: node `i` is silent this round (inside a crash window).
+    pub(crate) down: Box<[bool]>,
+    /// `crashed[i]`: the fault plane crashes node `i` at the start of this
+    /// round.
+    pub(crate) crashed: Box<[bool]>,
+}
+
+/// What happened at the top of a round, in trace order: recoveries,
+/// crashes, re-affiliations.
+#[derive(Default)]
+pub(crate) struct RoundLog {
+    pub(crate) recoveries: Vec<usize>,
+    pub(crate) crashes: Vec<usize>,
+    /// `(node, old_head, new_head)` — recorded only when tracing.
+    pub(crate) reaffs: Vec<(u64, Option<u64>, Option<u64>)>,
+}
+
+/// Builds [`RoundCtx`]s strictly in round order — crash state is a running
+/// fold over rounds. Recoveries come first (a node whose down window just
+/// elapsed rejoins and is immediately re-crashable), then crashes, then
+/// the re-election that re-homes live members of a crashed head.
+pub(crate) struct Rounds<'p> {
+    provider: &'p mut (dyn HierarchyProvider + Send),
+    faults: FaultPlan,
+    trivial: bool,
+    validate: bool,
+    tracing: bool,
+    next: usize,
     /// Node `i` is down (crashed, silent) while `round < down_until[i]`.
     down_until: Vec<usize>,
     /// Whether node `i` is inside a crash window (for recovery events).
     was_down: Vec<bool>,
-    /// Whether node `i` currently knows the whole universe — the
-    /// incremental completion oracle. Maintained at receive/restart time so
-    /// the engine never rescans all n nodes per round.
-    informed: Vec<bool>,
     /// Previous round's head per node, for re-affiliation events.
     prev_heads: Vec<Option<NodeId>>,
+    /// CSR view of the round topology, rebuilt only when the provider
+    /// hands out a different graph (static providers share one `Arc`
+    /// across rounds, so the flat view is built once).
+    graph_cache: Option<(Arc<Graph>, Arc<CsrGraph>)>,
 }
 
-impl NodeArenas {
-    fn new(n: usize) -> Self {
-        NodeArenas {
+impl<'p> Rounds<'p> {
+    pub(crate) fn new(
+        provider: &'p mut (dyn HierarchyProvider + Send),
+        cfg: &RunConfig<'_>,
+        tracing: bool,
+    ) -> Rounds<'p> {
+        let n = provider.n();
+        Rounds {
+            provider,
+            faults: cfg.faults.clone(),
+            trivial: cfg.faults.is_trivial(),
+            validate: cfg.validate_hierarchy,
+            tracing,
+            next: 0,
             down_until: vec![0; n],
             was_down: vec![false; n],
-            informed: vec![false; n],
             prev_heads: Vec::new(),
+            graph_cache: None,
         }
     }
 
-    #[inline]
-    fn is_down(&self, round: usize, i: usize) -> bool {
-        round < self.down_until[i]
+    /// The topology of the round built last.
+    pub(crate) fn graph(&self) -> &Arc<Graph> {
+        &self.graph_cache.as_ref().expect("a round was built").0
     }
+
+    /// Build the next round's context and log.
+    pub(crate) fn build(&mut self) -> (RoundCtx, RoundLog) {
+        let round = self.next;
+        self.next += 1;
+        let n = self.down_until.len();
+        let graph = self.provider.graph_at(round);
+        let mut hierarchy = self.provider.hierarchy_at(round);
+        if self.validate {
+            hierarchy
+                .validate(&graph)
+                .unwrap_or_else(|e| panic!("round {round}: invalid hierarchy: {e}"));
+        }
+        let rebuild = self
+            .graph_cache
+            .as_ref()
+            .is_none_or(|(src, _)| !Arc::ptr_eq(src, &graph));
+        if rebuild {
+            self.graph_cache = Some((Arc::clone(&graph), Arc::new(CsrGraph::from(&*graph))));
+        }
+        let csr = Arc::clone(&self.graph_cache.as_ref().expect("csr cache primed").1);
+
+        let mut log = RoundLog::default();
+        let mut crashed = vec![false; n].into_boxed_slice();
+        if !self.trivial {
+            for i in 0..n {
+                if self.was_down[i] && round >= self.down_until[i] {
+                    self.was_down[i] = false;
+                    log.recoveries.push(i);
+                }
+            }
+            for i in 0..n {
+                if round < self.down_until[i] {
+                    continue; // still down; cannot crash again yet
+                }
+                if self
+                    .faults
+                    .crashes(round, i, hierarchy.is_head(NodeId::from_index(i)))
+                {
+                    crashed[i] = true;
+                    log.crashes.push(i);
+                    self.down_until[i] = round + self.faults.down_rounds;
+                    self.was_down[i] = true;
+                }
+            }
+        }
+        let down: Box<[bool]> = (0..n).map(|i| round < self.down_until[i]).collect();
+        if !self.trivial && (0..n).any(|i| down[i] && hierarchy.is_head(NodeId::from_index(i))) {
+            hierarchy = Arc::new(re_elect(
+                &graph,
+                &hierarchy,
+                &down,
+                GatewayPolicy::default(),
+            ));
+        }
+        if self.tracing {
+            let heads: Vec<Option<NodeId>> = (0..n)
+                .map(|i| hierarchy.head_of(NodeId::from_index(i)))
+                .collect();
+            if round > 0 {
+                for (i, (old, new)) in self.prev_heads.iter().zip(&heads).enumerate() {
+                    if old != new {
+                        let (old, new) = (old.map(|h| h.0 as u64), new.map(|h| h.0 as u64));
+                        log.reaffs.push((i as u64, old, new));
+                    }
+                }
+            }
+            self.prev_heads = heads;
+        }
+        let ctx = RoundCtx {
+            csr,
+            hierarchy,
+            down,
+            crashed,
+        };
+        (ctx, log)
+    }
+}
+
+/// Restart `p` (node `me`) after a crash: its volatile state is lost, and
+/// it keeps its learned tokens only under
+/// [`FaultPlan::durable_tokens`], its initial tokens otherwise.
+pub(crate) fn restart<P: Protocol>(p: &mut P, me: NodeId, faults: &FaultPlan, initial: &[TokenId]) {
+    let retained: Vec<TokenId> = if faults.durable_tokens {
+        p.known().iter().collect()
+    } else {
+        initial.to_vec()
+    };
+    p.on_restart(me, &retained);
 }
 
 /// The synchronous round engine.
@@ -759,22 +930,15 @@ impl<'t> Engine<'t> {
         assignment: &[Vec<TokenId>],
     ) -> RunReport {
         let mut cfg = self.cfg;
-        if cfg.mode == ExecMode::Event {
-            return crate::event::run(cfg, provider, protocols, assignment);
-        }
         let start = Instant::now();
         let mut disabled = Tracer::disabled();
         let tracer: &mut Tracer = match cfg.tracer.take() {
             Some(t) => t,
             None => &mut disabled,
         };
-        let faults = cfg.faults.clone();
-
         let n = provider.n();
         assert_eq!(protocols.len(), n, "one protocol per node");
         assert_eq!(assignment.len(), n, "one initial token list per node");
-        let threads = resolve_threads(cfg.threads, n);
-
         let universe: TokenSet = assignment.iter().flatten().copied().collect();
         let k = universe.len();
         if tracer.enabled() {
@@ -784,46 +948,20 @@ impl<'t> Engine<'t> {
             let w = cfg.cost_weights;
             tracer.meta("token_bytes", w.token_bytes.to_string());
             tracer.meta("packet_header_bytes", w.packet_header_bytes.to_string());
+            if cfg.mode == ExecMode::Event {
+                tracer.meta("mode", "event");
+            }
         }
         for (i, p) in protocols.iter_mut().enumerate() {
             p.on_start(NodeId::from_index(i), &assignment[i]);
         }
-
-        let mut metrics = Metrics::default();
-        let mut completion_round = None;
-        let mut rounds_executed = 0;
-        let mut inboxes: Vec<Vec<Incoming>> = vec![Vec::new(); n];
-
-        let mut arenas = NodeArenas::new(n);
-        let mut informed_count = 0usize;
-        for (i, p) in protocols.iter().enumerate() {
-            let inf = universe.is_subset(p.known());
-            arenas.informed[i] = inf;
-            informed_count += usize::from(inf);
-        }
-
-        // Fault-plane state. A trivial plan skips every fault branch, so
-        // the clean path stays bit-identical to the pre-fault engine.
-        let trivial = faults.is_trivial();
-        // `(first, last)` round in which any fault fired.
-        let mut fault_window: Option<(u64, u64)> = None;
-        // Whether a backbone-level fault (crash or partition) fired, vs
-        // message loss only — selects the violated-assumption class.
-        let mut backbone_fault = false;
-        let mut budget_exhausted = true;
-
-        // Cached CSR view of the round topology, rebuilt only when the
-        // provider hands out a different graph (static providers share one
-        // `Arc` across rounds, so the flat view is built once).
-        let mut csr_cache: Option<(Arc<Graph>, CsrGraph)> = None;
-
         // Degenerate case: everyone informed before any round.
-        if informed_count == n {
+        if protocols.iter().all(|p| universe.is_subset(p.known())) {
             tracer.run_end(0, true);
             return RunReport {
                 rounds_executed: 0,
                 completion_round: Some(0),
-                metrics,
+                metrics: Metrics::default(),
                 k,
                 cost_weights: cfg.cost_weights,
                 outcome: Outcome::Completed { round: 0 },
@@ -832,198 +970,125 @@ impl<'t> Engine<'t> {
                 stall: None,
             };
         }
+        if cfg.mode == ExecMode::Event {
+            return crate::event::run(
+                cfg, start, tracer, provider, protocols, assignment, universe,
+            );
+        }
+        let mut rec = Traced {
+            tracer,
+            weights: cfg.cost_weights,
+        };
+        let faults = cfg.faults.clone();
+        let threads = resolve_threads(cfg.threads, n);
+
+        let mut metrics = Metrics::default();
+        let mut completion_round = None;
+        let mut rounds_executed = 0;
+        let mut inboxes: Vec<Vec<Incoming>> = vec![Vec::new(); n];
+
+        // Whether node `i` currently knows the whole universe — the
+        // incremental completion oracle, maintained at receive/restart
+        // time so the engine never rescans all n nodes per round.
+        let mut informed: Vec<bool> = protocols
+            .iter()
+            .map(|p| universe.is_subset(p.known()))
+            .collect();
+        let mut informed_count = informed.iter().filter(|&&inf| inf).count();
+
+        // Whether a backbone-level fault (crash or partition) fired, vs
+        // message loss only — selects the violated-assumption class.
+        let mut backbone_fault = false;
+        let mut budget_exhausted = true;
+        let mut rounds = Rounds::new(provider, &cfg, rec.tracer.enabled());
+
         // Runtime (T, L)-HiNet oracle: certificate mode pins violations to
         // the exact round the assumption broke.
         let mut oracle = cfg.stability_oracle.map(|(t, l)| {
             hinet_cluster::stability::stream::StabilityStream::new(t, l).with_certificate()
         });
 
-        // Adversarial delivery plane (lock-step side): envelopes held back
-        // by the delay knob mature into the receiver's inbox at a later
-        // round (`(due_round, rid, message)` per receiver), and the optional
-        // reliability layer keeps one sender window plus one receiver
-        // ledger per node so backoff timers re-send whatever loss or delay
-        // swallowed. All of this state exists only for non-trivial plans —
-        // the clean path allocates nothing and stays byte-identical.
-        let mut delayed: Vec<Vec<(usize, u64, Incoming)>> = if !trivial {
-            vec![Vec::new(); n]
-        } else {
-            Vec::new()
-        };
-        let mut plane: Option<(Vec<SenderWindow<(Payload, bool)>>, Vec<ReceiverLedger>)> =
-            (cfg.reliable && !trivial).then(|| {
-                let senders = (0..n)
-                    .map(|i| {
-                        // Per-node jitter seed, derived from the fault seed
-                        // so `--fault-seed` replays the timers too.
-                        let seed = faults.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                        SenderWindow::new(seed, ReliableConfig::default())
-                    })
-                    .collect();
-                let receivers = (0..n).map(|_| ReceiverLedger::new()).collect();
-                (senders, receivers)
-            });
+        // The delivery plane: gate chain, held delayed envelopes and the
+        // optional reliability layer. A trivial plan allocates nothing.
+        let mut plane: Plane<'_, (Payload, bool)> = Plane::new(&faults, cfg.reliable, n);
 
-        let mut warned_log_cap = false;
         for round in 0..cfg.max_rounds {
-            let graph = provider.graph_at(round);
-            let mut hierarchy = provider.hierarchy_at(round);
-            if cfg.validate_hierarchy {
-                hierarchy
-                    .validate(&graph)
-                    .unwrap_or_else(|e| panic!("round {round}: invalid hierarchy: {e}"));
+            let (ctx, log) = rounds.build();
+            let (csr, hierarchy) = (&*ctx.csr, &*ctx.hierarchy);
+            rec.tracer.round_start(round as u64);
+            for &i in &log.recoveries {
+                metrics.recoveries += 1;
+                rec.tracer.recover(round as u64, i as u64);
             }
-            let rebuild = csr_cache
-                .as_ref()
-                .is_none_or(|(src, _)| !Arc::ptr_eq(src, &graph));
-            if rebuild {
-                csr_cache = Some((Arc::clone(&graph), CsrGraph::from(&*graph)));
-            }
-            let csr = &csr_cache.as_ref().expect("csr cache primed").1;
-
-            tracer.round_start(round as u64);
-
-            if !trivial {
-                // Recoveries first: a node whose down window just elapsed
-                // rejoins this round (and is immediately re-crashable).
-                for i in 0..n {
-                    if arenas.was_down[i] && round >= arenas.down_until[i] {
-                        arenas.was_down[i] = false;
-                        metrics.recoveries += 1;
-                        tracer.recover(round as u64, i as u64);
+            for &i in &log.crashes {
+                metrics.crashes += 1;
+                backbone_fault = true;
+                note_fault(&mut plane.tally.fault_window, round as u64);
+                rec.tracer
+                    .crash(round as u64, i as u64, faults.durable_tokens);
+                restart(
+                    &mut protocols[i],
+                    NodeId::from_index(i),
+                    &faults,
+                    &assignment[i],
+                );
+                // A volatile restart can forget tokens: re-derive the
+                // node's completion-oracle flag.
+                let inf = universe.is_subset(protocols[i].known());
+                if inf != informed[i] {
+                    informed[i] = inf;
+                    if inf {
+                        informed_count += 1;
+                    } else {
+                        informed_count -= 1;
                     }
-                }
-                for i in 0..n {
-                    if arenas.is_down(round, i) {
-                        continue; // still down; cannot crash again yet
-                    }
-                    let me = NodeId::from_index(i);
-                    if faults.crashes(round, i, hierarchy.is_head(me)) {
-                        metrics.crashes += 1;
-                        backbone_fault = true;
-                        note_fault(&mut fault_window, round as u64);
-                        tracer.crash(round as u64, i as u64, faults.durable_tokens);
-                        // Volatile protocol state dies with the node; the
-                        // tokens it carries survive per the durability flag.
-                        let retained: Vec<TokenId> = if faults.durable_tokens {
-                            protocols[i].known().iter().collect()
-                        } else {
-                            assignment[i].clone()
-                        };
-                        protocols[i].on_restart(me, &retained);
-                        arenas.down_until[i] = round + faults.down_rounds;
-                        arenas.was_down[i] = true;
-                        // A volatile restart can forget tokens: re-derive the
-                        // node's completion-oracle flag.
-                        let inf = universe.is_subset(protocols[i].known());
-                        if inf != arenas.informed[i] {
-                            arenas.informed[i] = inf;
-                            if inf {
-                                informed_count += 1;
-                            } else {
-                                informed_count -= 1;
-                            }
-                        }
-                    }
-                }
-                // While a crashed node heads a cluster, repair the round's
-                // hierarchy so live members re-home to live heads.
-                let down: Vec<bool> = (0..n).map(|i| arenas.is_down(round, i)).collect();
-                if (0..n).any(|i| down[i] && hierarchy.is_head(NodeId::from_index(i))) {
-                    hierarchy = Arc::new(re_elect(
-                        &graph,
-                        &hierarchy,
-                        &down,
-                        GatewayPolicy::default(),
-                    ));
                 }
             }
-
-            if tracer.enabled() {
-                let heads: Vec<Option<NodeId>> = (0..n)
-                    .map(|i| hierarchy.head_of(NodeId::from_index(i)))
-                    .collect();
-                if round > 0 {
-                    for (i, (old, new)) in arenas.prev_heads.iter().zip(&heads).enumerate() {
-                        if old != new {
-                            tracer.reaffiliation(
-                                round as u64,
-                                i as u64,
-                                old.map(|h| h.0 as u64),
-                                new.map(|h| h.0 as u64),
-                            );
-                        }
-                    }
-                }
-                arenas.prev_heads = heads;
+            for &(node, old, new) in &log.reaffs {
+                rec.tracer.reaffiliation(round as u64, node, old, new);
             }
 
             // The oracle sees the round exactly as the protocols do: the
             // effective hierarchy, after any crash re-election.
             if let Some(stream) = oracle.as_mut() {
-                if let Some(verdict) = stream.push(&graph, &hierarchy) {
-                    verdict.emit_into(tracer);
+                if let Some(verdict) = stream.push(rounds.graph(), &ctx.hierarchy) {
+                    verdict.emit_into(rec.tracer);
                 }
             }
 
             let informed_at_start = informed_count;
 
-            let mut round_tokens = 0u64;
-            let mut round_packets = 0u64;
+            let mut sends = Sends::default();
 
             for inbox in inboxes.iter_mut() {
                 inbox.clear();
             }
 
-            // Mature delayed envelopes first: they land ahead of round-`r`
-            // fresh deliveries, mirroring the event runtime's
-            // flush-held-then-send order. A delivery maturing while its
-            // receiver is down is lost, exactly like a fresh one — the
-            // reliability layer (if on) recovers it by timer.
-            if !trivial && faults.delay_ppm > 0 {
-                for v in 0..n {
-                    if delayed[v].is_empty() {
-                        continue;
-                    }
-                    let entries = std::mem::take(&mut delayed[v]);
-                    for (due, rid, msg) in entries {
-                        if due > round {
-                            delayed[v].push((due, rid, msg));
-                            continue;
-                        }
-                        if arenas.is_down(round, v) {
-                            continue;
-                        }
-                        if let Some((_, receivers)) = plane.as_mut() {
-                            if !receivers[v].accept(msg.from.index(), rid) {
-                                metrics.dups_discarded += 1;
-                                continue;
-                            }
-                        }
-                        inboxes[v].push(msg);
-                    }
-                }
-            }
+            // Matured delayed envelopes land ahead of round-`r` fresh
+            // deliveries. One maturing while its receiver is down is lost,
+            // exactly like a fresh one — the reliability layer (if on)
+            // recovers it by timer.
+            plane.mature(
+                round,
+                |v| ctx.down[v],
+                |v, from, (payload, directed)| {
+                    inboxes[v].push(Incoming {
+                        from: NodeId::from_index(from),
+                        directed,
+                        payload,
+                    })
+                },
+            );
 
             // Send phase: every live node computes its messages against its
             // own view — node-independent, so it fans out over the pool.
             let outs: Vec<Vec<Outgoing>> = {
-                let arenas = &arenas;
-                let hierarchy: &Hierarchy = &hierarchy;
+                let down = &ctx.down;
                 pool::map_mut(protocols, threads, |i, p| {
-                    if (!trivial && arenas.is_down(round, i)) || p.finished() {
+                    if down[i] || p.finished() {
                         return Vec::new();
                     }
-                    let me = NodeId::from_index(i);
-                    let view = LocalView {
-                        me,
-                        round,
-                        role: hierarchy.role(me),
-                        cluster: hierarchy.cluster_of(me),
-                        head: hierarchy.head_of(me),
-                        parent: hierarchy.parent_of(me),
-                        neighbors: csr.neighbors(me),
-                    };
+                    let view = local_view(NodeId::from_index(i), round, hierarchy, csr);
                     p.send(&view)
                 })
             };
@@ -1031,56 +1096,24 @@ impl<'t> Engine<'t> {
             // Accounting + delivery: one sequential pass in sender-id
             // order, so metrics, trace events and inbox ordering are
             // identical whatever the send phase's thread count was.
+            let is_down = |v: usize| ctx.down[v];
             for (i, node_outs) in outs.into_iter().enumerate() {
                 let me = NodeId::from_index(i);
+                let role = hierarchy.role(me);
                 // Reliability-layer retransmits flush before the node's
-                // fresh sends (the event runtime's step order). A link
-                // absent from this round's topology leaves the entry
-                // pending — the timer simply fires again later.
-                if let Some((senders, receivers)) = plane.as_mut() {
-                    if !arenas.is_down(round, i) {
-                        for rt in senders[i].due(round) {
-                            let v = NodeId::from_index(rt.to);
-                            if !csr.has_edge(me, v) {
-                                continue;
-                            }
-                            let (payload, directed) = rt.item;
-                            let cost = payload.len() as u64;
-                            round_tokens += cost;
-                            round_packets += 1;
-                            metrics.tokens_by_role[role_slot(hierarchy.role(me))] += cost;
-                            metrics.retransmit_timeouts += 1;
-                            tracer.retransmit_timeout(
-                                round as u64,
-                                me.0 as u64,
-                                v.0 as u64,
-                                rt.attempt,
-                            );
-                            if faulted_delivery(
-                                &faults,
-                                round,
-                                me,
-                                v,
-                                &mut metrics,
-                                &mut fault_window,
-                                &mut backbone_fault,
-                                &arenas.down_until,
-                                tracer,
-                            ) {
-                                continue;
-                            }
-                            // Retransmits skip the delay/dup rolls: the
-                            // envelope took its chaos at first send; the
-                            // timer exists to outlast it.
-                            if receivers[v.index()].accept(i, rt.rid) {
-                                inboxes[v.index()].push(Incoming {
-                                    from: me,
-                                    directed,
-                                    payload,
-                                });
-                            } else {
-                                metrics.dups_discarded += 1;
-                            }
+                // fresh sends.
+                if !is_down(i) {
+                    for rt in plane.due(i, round, |v| csr.has_edge(me, NodeId::from_index(v))) {
+                        sends.charge(rt.item.0.len() as u64, role);
+                        let v = rt.to;
+                        if let Some((payload, directed)) =
+                            plane.resend(round, i, rt, is_down(v), &mut rec)
+                        {
+                            inboxes[v].push(Incoming {
+                                from: me,
+                                directed,
+                                payload,
+                            });
                         }
                     }
                 }
@@ -1094,212 +1127,23 @@ impl<'t> Engine<'t> {
                     }
                     let seq = next_seq;
                     next_seq += 1;
-                    let cost = out.payload.len() as u64;
-                    round_tokens += cost;
-                    round_packets += 1;
-                    metrics.tokens_by_role[role_slot(hierarchy.role(me))] += cost;
-                    if tracer.enabled() {
-                        let w = cfg.cost_weights;
-                        let bytes = cost * w.token_bytes + w.packet_header_bytes;
-                        let role = obs_role(hierarchy.role(me));
-                        let first = out.payload.first().expect("non-empty payload").0;
-                        match out.dest {
-                            Destination::Broadcast => tracer.head_broadcast(
-                                round as u64,
-                                me.0 as u64,
-                                first,
-                                cost,
-                                role,
-                                bytes,
-                            ),
-                            Destination::Unicast(v) => tracer.token_push(
-                                round as u64,
-                                me.0 as u64,
-                                first,
-                                cost,
-                                role,
-                                v.0 as u64,
-                                bytes,
-                            ),
-                        }
+                    let targets = sends.send(round, me, role, &out, csr, &mut rec);
+                    let directed = out.dest != Destination::Broadcast;
+                    if cfg.record_messages {
+                        let record = MessageRecord::new(round, me, &out, !targets.is_empty());
+                        record_message(&mut metrics, cfg.message_log_cap, record);
                     }
-                    if out.retransmit {
-                        metrics.retransmits += 1;
-                        if tracer.enabled() {
-                            let dst = match out.dest {
-                                Destination::Broadcast => None,
-                                Destination::Unicast(v) => Some(v.0 as u64),
-                            };
-                            tracer.retransmit(round as u64, me.0 as u64, cost, dst);
-                        }
-                    }
-                    match out.dest {
-                        Destination::Broadcast => {
-                            if cfg.record_messages {
-                                record_message(
-                                    &mut metrics,
-                                    &cfg,
-                                    &mut warned_log_cap,
-                                    MessageRecord {
-                                        round,
-                                        from: me,
-                                        to: None,
-                                        delivered: true,
-                                        tokens: out.payload.to_vec(),
-                                    },
-                                );
-                            }
-                            for &v in csr.neighbors(me) {
-                                let rid = match plane.as_mut() {
-                                    Some((senders, _)) => senders[i].register(
-                                        v.index(),
-                                        (out.payload.clone(), false),
-                                        round,
-                                    ),
-                                    None => 0,
-                                };
-                                if !trivial
-                                    && faulted_delivery(
-                                        &faults,
-                                        round,
-                                        me,
-                                        v,
-                                        &mut metrics,
-                                        &mut fault_window,
-                                        &mut backbone_fault,
-                                        &arenas.down_until,
-                                        tracer,
-                                    )
-                                {
-                                    continue;
-                                }
-                                if !trivial {
-                                    let d = faults.delay_of(round, i, v.index(), seq);
-                                    if d > 0 {
-                                        metrics.delays_injected += 1;
-                                        tracer.delayed(
-                                            round as u64,
-                                            me.0 as u64,
-                                            v.0 as u64,
-                                            d as u64,
-                                        );
-                                        delayed[v.index()].push((
-                                            round + d,
-                                            rid,
-                                            Incoming {
-                                                from: me,
-                                                directed: false,
-                                                payload: out.payload.clone(),
-                                            },
-                                        ));
-                                        continue;
-                                    }
-                                    if faults.duplicates(round, i, v.index(), seq) {
-                                        // Lock-step models injection plus the
-                                        // receive plane's immediate discard
-                                        // (token monotonicity makes the copy a
-                                        // no-op); the event runtime actually
-                                        // sends twice and dedups in the
-                                        // RoundBuffer.
-                                        metrics.duplicates_injected += 1;
-                                        metrics.dups_discarded += 1;
-                                        tracer.duplicated(round as u64, me.0 as u64, v.0 as u64);
-                                    }
-                                }
-                                if let Some((_, receivers)) = plane.as_mut() {
-                                    if !receivers[v.index()].accept(i, rid) {
-                                        metrics.dups_discarded += 1;
-                                        continue;
-                                    }
-                                }
-                                inboxes[v.index()].push(Incoming {
-                                    from: me,
-                                    directed: false,
-                                    payload: out.payload.clone(),
-                                });
-                            }
-                        }
-                        Destination::Unicast(v) => {
-                            let delivered = csr.has_edge(me, v);
-                            if cfg.record_messages {
-                                record_message(
-                                    &mut metrics,
-                                    &cfg,
-                                    &mut warned_log_cap,
-                                    MessageRecord {
-                                        round,
-                                        from: me,
-                                        to: Some(v),
-                                        delivered,
-                                        tokens: out.payload.to_vec(),
-                                    },
-                                );
-                            }
-                            if delivered {
-                                let rid = match plane.as_mut() {
-                                    Some((senders, _)) => senders[i].register(
-                                        v.index(),
-                                        (out.payload.clone(), true),
-                                        round,
-                                    ),
-                                    None => 0,
-                                };
-                                if !trivial
-                                    && faulted_delivery(
-                                        &faults,
-                                        round,
-                                        me,
-                                        v,
-                                        &mut metrics,
-                                        &mut fault_window,
-                                        &mut backbone_fault,
-                                        &arenas.down_until,
-                                        tracer,
-                                    )
-                                {
-                                    continue;
-                                }
-                                if !trivial {
-                                    let d = faults.delay_of(round, i, v.index(), seq);
-                                    if d > 0 {
-                                        metrics.delays_injected += 1;
-                                        tracer.delayed(
-                                            round as u64,
-                                            me.0 as u64,
-                                            v.0 as u64,
-                                            d as u64,
-                                        );
-                                        delayed[v.index()].push((
-                                            round + d,
-                                            rid,
-                                            Incoming {
-                                                from: me,
-                                                directed: true,
-                                                payload: out.payload,
-                                            },
-                                        ));
-                                        continue;
-                                    }
-                                    if faults.duplicates(round, i, v.index(), seq) {
-                                        metrics.duplicates_injected += 1;
-                                        metrics.dups_discarded += 1;
-                                        tracer.duplicated(round as u64, me.0 as u64, v.0 as u64);
-                                    }
-                                }
-                                if let Some((_, receivers)) = plane.as_mut() {
-                                    if !receivers[v.index()].accept(i, rid) {
-                                        metrics.dups_discarded += 1;
-                                        continue;
-                                    }
-                                }
-                                inboxes[v.index()].push(Incoming {
-                                    from: me,
-                                    directed: true,
-                                    payload: out.payload,
-                                });
-                            } else {
-                                metrics.dropped_unicasts += 1;
-                            }
+                    for &v in targets {
+                        let item = (out.payload.clone(), directed);
+                        let hop = (i, v.index(), seq);
+                        if let Some((payload, directed)) =
+                            plane.send(round, hop, item, || is_down(v.index()), &mut rec)
+                        {
+                            inboxes[v.index()].push(Incoming {
+                                from: me,
+                                directed,
+                                payload,
+                            });
                         }
                     }
                 }
@@ -1309,61 +1153,37 @@ impl<'t> Engine<'t> {
             // at once, so acks apply omnisciently here — the same value the
             // event runtime's piggybacked markers would deliver one round
             // later.
-            if let Some((senders, receivers)) = plane.as_mut() {
-                for (i, s) in senders.iter_mut().enumerate() {
-                    s.sync_acks(|to| receivers[to].cum(i));
-                }
-            }
+            plane.sync_acks();
 
             // Within-round inbox permutation: reorder is adversarial but
             // pure, keyed on `(fault_seed, round, receiver)`.
-            if !trivial && faults.reorder {
-                for (i, inbox) in inboxes.iter_mut().enumerate() {
-                    faults.shuffle(round, i, inbox);
-                }
+            for (i, inbox) in inboxes.iter_mut().enumerate() {
+                faults.shuffle(round, i, inbox);
             }
 
             // Receive phase: node-independent again — fan out, then fold
             // the freshly-informed flags back into the oracle counter.
             let newly_informed: Vec<bool> = {
-                let arenas = &arenas;
+                let (down, informed) = (&ctx.down, &informed);
                 let inboxes = &inboxes;
                 let universe = &universe;
-                let hierarchy: &Hierarchy = &hierarchy;
                 pool::map_mut(protocols, threads, |i, p| {
-                    if !trivial && arenas.is_down(round, i) {
+                    if down[i] {
                         return false; // deliveries to crashed nodes are lost
                     }
-                    let me = NodeId::from_index(i);
-                    let view = LocalView {
-                        me,
-                        round,
-                        role: hierarchy.role(me),
-                        cluster: hierarchy.cluster_of(me),
-                        head: hierarchy.head_of(me),
-                        parent: hierarchy.parent_of(me),
-                        neighbors: csr.neighbors(me),
-                    };
+                    let view = local_view(NodeId::from_index(i), round, hierarchy, csr);
                     p.receive(&view, &inboxes[i]);
-                    !arenas.informed[i] && !inboxes[i].is_empty() && universe.is_subset(p.known())
+                    !informed[i] && !inboxes[i].is_empty() && universe.is_subset(p.known())
                 })
             };
             for (i, fresh) in newly_informed.into_iter().enumerate() {
                 if fresh {
-                    arenas.informed[i] = true;
+                    informed[i] = true;
                     informed_count += 1;
                 }
             }
 
-            metrics.tokens_sent += round_tokens;
-            metrics.packets_sent += round_packets;
-            if cfg.record_rounds {
-                metrics.rounds.push(RoundMetrics {
-                    tokens_sent: round_tokens,
-                    packets_sent: round_packets,
-                    informed_nodes: informed_at_start,
-                });
-            }
+            metrics.add_sends(&sends, cfg.record_rounds, informed_at_start);
             rounds_executed = round + 1;
 
             if completion_round.is_none() && informed_count == n {
@@ -1377,11 +1197,7 @@ impl<'t> Engine<'t> {
             // change — unless the delivery plane still holds envelopes in
             // flight (delayed or unacked), which can inform nodes after
             // every protocol quiesced.
-            let plane_in_flight = delayed.iter().map(Vec::len).sum::<usize>()
-                + plane
-                    .as_ref()
-                    .map_or(0, |(s, _)| s.iter().map(SenderWindow::in_flight).sum());
-            if protocols.iter().all(|p| p.finished()) && plane_in_flight == 0 {
+            if protocols.iter().all(|p| p.finished()) && plane.in_flight() == 0 {
                 budget_exhausted = false;
                 break;
             }
@@ -1390,36 +1206,31 @@ impl<'t> Engine<'t> {
         let stability = oracle.map(|stream| {
             let (last, report) = stream.finish();
             if let Some(verdict) = last {
-                verdict.emit_into(tracer);
+                verdict.emit_into(rec.tracer);
             }
             report
         });
+        let tally = plane.tally;
+        metrics.absorb(&tally);
         let outcome = match completion_round {
             Some(round) => Outcome::Completed { round },
             None => {
-                // Tokens missing somewhere = universe minus the
-                // intersection of all nodes' known sets (word-parallel
-                // fold instead of a k × n membership scan).
-                let mut everywhere = universe.clone();
-                for p in protocols.iter() {
-                    if everywhere.is_empty() {
-                        break;
-                    }
-                    let known = p.known();
-                    everywhere = everywhere.iter().filter(|t| known.contains(t)).collect();
-                }
-                let missing_tokens = k - everywhere.len();
+                let missing_tokens = missing_tokens(&universe, protocols.iter());
                 // The oracle's attribution (exact definition, exact round)
                 // outranks the coarse fault-window heuristic.
                 let oracle_violation = stability.as_ref().and_then(|s| s.violation);
-                match (oracle_violation, fault_window) {
+                match (oracle_violation, tally.fault_window) {
                     (Some(v), _) => Outcome::AssumptionViolated {
                         window: (v.window_start as u64, v.round as u64),
                         def: v.def,
                     },
                     (None, Some(window)) => Outcome::AssumptionViolated {
                         window,
-                        def: if backbone_fault { 2 } else { 1 },
+                        def: if backbone_fault || tally.partitioned {
+                            2
+                        } else {
+                            1
+                        },
                     },
                     (None, None) => Outcome::Stalled {
                         missing_tokens,
@@ -1428,7 +1239,8 @@ impl<'t> Engine<'t> {
                 }
             }
         };
-        tracer.run_end(rounds_executed as u64, completion_round.is_some());
+        rec.tracer
+            .run_end(rounds_executed as u64, completion_round.is_some());
         let wall = lockstep_wall(start, metrics.tokens_sent);
         RunReport {
             rounds_executed,
@@ -1447,7 +1259,7 @@ impl<'t> Engine<'t> {
 /// Wall-clock summary for a lock-step run: elapsed time and throughput
 /// only. Per-token latency tracking is an event-mode feature — keeping it
 /// off the lock-step path leaves the million-node hot loop untouched.
-fn lockstep_wall(start: Instant, tokens_sent: u64) -> WallClock {
+pub(crate) fn lockstep_wall(start: Instant, tokens_sent: u64) -> WallClock {
     let elapsed_ns = start.elapsed().as_nanos() as u64;
     let secs = elapsed_ns as f64 / 1e9;
     WallClock {
@@ -1488,70 +1300,180 @@ fn resolve_threads(threads: usize, n: usize) -> usize {
     }
 }
 
-/// Append to the message log, stopping with a loud warning at the cap.
-fn record_message(
-    metrics: &mut Metrics,
-    cfg: &RunConfig<'_>,
-    warned: &mut bool,
-    record: MessageRecord,
-) {
-    if metrics.log.len() >= cfg.message_log_cap {
-        metrics.log_truncated = true;
-        if !*warned {
-            *warned = true;
-            eprintln!(
-                "hinet-sim: message log reached RunConfig::message_log_cap ({}); \
-                 further MessageRecords are dropped — raise the cap or disable \
-                 record_messages for large runs",
-                cfg.message_log_cap
-            );
+/// Node `me`'s view of `round`.
+pub(crate) fn local_view<'a>(
+    me: NodeId,
+    round: usize,
+    hierarchy: &Hierarchy,
+    csr: &'a CsrGraph,
+) -> LocalView<'a> {
+    LocalView {
+        me,
+        round,
+        role: hierarchy.role(me),
+        cluster: hierarchy.cluster_of(me),
+        head: hierarchy.head_of(me),
+        parent: hierarchy.parent_of(me),
+        neighbors: csr.neighbors(me),
+    }
+}
+
+/// A tracer paired with the run's cost weights: the [`Record`] sink both
+/// execution modes write sends through, so a recorded send regains its
+/// on-air byte cost.
+pub(crate) struct Traced<'t> {
+    pub(crate) tracer: &'t mut Tracer,
+    pub(crate) weights: CostWeights,
+}
+
+impl Record for Traced<'_> {
+    fn record(&mut self, round: usize, event: obs::Event) {
+        let w = self.weights;
+        let bytes = |count: u64| count * w.token_bytes + w.packet_header_bytes;
+        let r = round as u64;
+        match event {
+            obs::Event::HeadBroadcast {
+                node,
+                token,
+                count,
+                role,
+            } => self
+                .tracer
+                .head_broadcast(r, node, token, count, role, bytes(count)),
+            obs::Event::TokenPush {
+                node,
+                token,
+                count,
+                role,
+                dst,
+            } => self
+                .tracer
+                .token_push(r, node, token, count, role, dst, bytes(count)),
+            other => self.tracer.emit(r, other),
         }
+    }
+}
+
+/// One round's send costs, accumulated the same way in both execution
+/// modes: the paper's token metric, packets, the per-role split, and the
+/// send bookkeeping.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Sends {
+    tokens: u64,
+    packets: u64,
+    by_role: [u64; 3],
+    dropped_unicasts: u64,
+    retransmits: u64,
+}
+
+impl Sends {
+    /// Fold `other` into `self`.
+    pub(crate) fn add(&mut self, other: &Sends) {
+        self.tokens += other.tokens;
+        self.packets += other.packets;
+        for (a, b) in self.by_role.iter_mut().zip(other.by_role) {
+            *a += b;
+        }
+        self.dropped_unicasts += other.dropped_unicasts;
+        self.retransmits += other.retransmits;
+    }
+
+    /// Charge one packet of `cost` tokens sent by a `role` node.
+    pub(crate) fn charge(&mut self, cost: u64, role: Role) {
+        self.tokens += cost;
+        self.packets += 1;
+        self.by_role[role_slot(role)] += cost;
+    }
+
+    /// Account one non-empty protocol send by `me`: charge it, record it
+    /// (and its retransmission mark), and return its receivers this round.
+    pub(crate) fn send<'a>(
+        &mut self,
+        round: usize,
+        me: NodeId,
+        role: Role,
+        out: &'a Outgoing,
+        csr: &'a CsrGraph,
+        rec: &mut impl Record,
+    ) -> &'a [NodeId] {
+        let count = out.payload.len() as u64;
+        self.charge(count, role);
+        let (node, role) = (me.0 as u64, obs_role(role));
+        let token = out.payload.first().expect("non-empty payload").0;
+        rec.record(
+            round,
+            match out.dest {
+                Destination::Broadcast => obs::Event::HeadBroadcast {
+                    node,
+                    token,
+                    count,
+                    role,
+                },
+                Destination::Unicast(v) => obs::Event::TokenPush {
+                    node,
+                    token,
+                    count,
+                    role,
+                    dst: v.0 as u64,
+                },
+            },
+        );
+        if out.retransmit {
+            self.retransmits += 1;
+            let dst = out.dest.target().map(|v| v.0 as u64);
+            rec.record(round, obs::Event::Retransmit { node, count, dst });
+        }
+        let targets = targets(csr, me, &out.dest);
+        if out.dest != Destination::Broadcast && targets.is_empty() {
+            self.dropped_unicasts += 1;
+        }
+        targets
+    }
+}
+
+/// Append to the message log, stopping with a loud warning (once) at the
+/// cap.
+pub(crate) fn record_message(metrics: &mut Metrics, cap: usize, record: MessageRecord) {
+    if metrics.log.len() < cap {
+        metrics.log.push(record);
         return;
     }
-    metrics.log.push(record);
+    if !metrics.log_truncated {
+        eprintln!(
+            "hinet-sim: message log reached RunConfig::message_log_cap ({cap}); further \
+             MessageRecords are dropped — raise the cap or disable record_messages for \
+             large runs"
+        );
+    }
+    metrics.log_truncated = true;
 }
 
-/// Fault-plane delivery gate: returns `true` when the `from → to`
-/// delivery is lost this round, accounting and tracing the fault.
-/// Deliveries to crashed receivers are lost silently — the crash event
-/// already explains them.
-#[allow(clippy::too_many_arguments)]
-fn faulted_delivery(
-    faults: &FaultPlan,
-    round: usize,
-    from: NodeId,
-    to: NodeId,
-    metrics: &mut Metrics,
-    fault_window: &mut Option<(u64, u64)>,
-    backbone_fault: &mut bool,
-    down_until: &[usize],
-    tracer: &mut Tracer,
-) -> bool {
-    if round < down_until[to.index()] {
-        return true;
+/// `k` minus the number of tokens every node knows: the universe minus
+/// the intersection of all known sets (a word-parallel fold instead of a
+/// k × n membership scan).
+pub(crate) fn missing_tokens<'p, P: Protocol + 'p>(
+    universe: &TokenSet,
+    protocols: impl IntoIterator<Item = &'p P>,
+) -> usize {
+    let mut everywhere = universe.clone();
+    for p in protocols {
+        if everywhere.is_empty() {
+            break;
+        }
+        let known = p.known();
+        everywhere = everywhere.iter().filter(|t| known.contains(t)).collect();
     }
-    let kind = if faults.partitioned(round, from.index(), to.index()) {
-        FaultKind::Partition
-    } else if faults.drops_message(round, from.index(), to.index()) {
-        FaultKind::Loss
-    } else {
-        return false;
-    };
-    if kind == FaultKind::Partition {
-        *backbone_fault = true;
-    }
-    metrics.faults_injected += 1;
-    note_fault(fault_window, round as u64);
-    tracer.fault_injected(round as u64, from.0 as u64, Some(to.0 as u64), kind);
-    true
+    universe.len() - everywhere.len()
 }
 
-/// Widen the `(first, last)` fault window to include `round`.
-pub(crate) fn note_fault(window: &mut Option<(u64, u64)>, round: u64) {
-    *window = Some(match *window {
-        None => (round, round),
-        Some((first, _)) => (first, round),
-    });
+/// The receivers of `dest` from `me` this round: every neighbour for a
+/// broadcast; the target for a unicast iff it is a neighbour, else none.
+pub(crate) fn targets<'a>(csr: &'a CsrGraph, me: NodeId, dest: &'a Destination) -> &'a [NodeId] {
+    match dest {
+        Destination::Broadcast => csr.neighbors(me),
+        Destination::Unicast(v) if csr.has_edge(me, *v) => std::slice::from_ref(v),
+        Destination::Unicast(_) => &[],
+    }
 }
 
 #[cfg(test)]

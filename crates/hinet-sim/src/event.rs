@@ -10,7 +10,10 @@
 //! # Equivalence with lock-step
 //!
 //! Per-sender `(round, seq)` tagging plus the buffer's `(from, seq)` sort
-//! reproduce exactly the inbox the lock-step engine would have built, and a
+//! reproduce exactly the inbox the lock-step engine would have built (the
+//! delivery plane's own envelopes — timer retransmits and matured delayed
+//! sends — carry high `seq` keys and so sit after their sender's fresh
+//! sends, a position set-union receives are insensitive to), and a
 //! node's send for round `r` always runs against its state after its own
 //! round `r-1` receive — so every protocol instance evolves round-by-round
 //! identically to lock-step. Crash/recovery/re-election decisions are
@@ -28,25 +31,27 @@
 //! knew when it entered overshoot). Metrics and trace events are buffered
 //! per `(node, round)` and merged/replayed in lock-step order for rounds
 //! below the final stop, so reports and trace bytes match the lock-step
-//! engine exactly (the trace differs only in its `mode` meta stamp and the
-//! event-runtime counters).
+//! engine exactly (the trace differs only in its `mode` meta stamp).
+//!
+//! Fault gates, reliability state and the delay rule come from the shared
+//! [`crate::delivery`] plane. What stays here is how an accepted envelope
+//! travels (a [`Transport::send`], a delayed one tagged for its due round)
+//! and when acks travel (on the next round's markers).
 
+use crate::delivery::{self, note_fault, Fate, Gates, Record, Tally};
 use crate::engine::{
-    note_fault, obs_role, resolve_event_threads, role_slot, MessageRecord, Metrics, NodeStall,
-    Outcome, RoundMetrics, RunConfig, RunReport, StallDiag, TokenLatency, WallClock,
+    local_view, lockstep_wall, missing_tokens, record_message, resolve_event_threads, restart,
+    MessageRecord, Metrics, NodeStall, Outcome, RoundCtx, RoundLog, Rounds, RunConfig, RunReport,
+    Sends, StallDiag, TokenLatency, Traced, WallClock,
 };
 use crate::fault::FaultPlan;
-use crate::protocol::{Destination, LocalView, Payload, Protocol};
-use crate::reliable::{ReceiverLedger, ReliableConfig, SenderWindow};
+use crate::protocol::{Destination, Payload, Protocol};
+use crate::reliable::{ReceiverLedger, SenderWindow};
 use crate::token::{TokenId, TokenSet};
 use crate::transport::{ChannelTransport, Envelope, EnvelopeKind, RoundBuffer, Transport};
-use hinet_cluster::clustering::{re_elect, GatewayPolicy};
 use hinet_cluster::ctvg::HierarchyProvider;
-use hinet_cluster::hierarchy::Hierarchy;
-use hinet_graph::csr::CsrGraph;
 use hinet_graph::graph::NodeId;
-use hinet_graph::Graph;
-use hinet_rt::obs::{self, FaultKind, Tracer};
+use hinet_rt::obs::{Event, Tracer};
 use hinet_rt::pool;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -57,156 +62,39 @@ use std::time::{Duration, Instant};
 /// without a doorbell ring — a liveness safety net, not the fast path.
 const PARK_TIMEOUT: Duration = Duration::from_millis(10);
 
+/// First `seq` key of a node's delivery-plane envelopes (timer retransmits
+/// and delayed sends). The keys count up from here over the whole run, so
+/// they never collide with a fresh envelope's `(round, sender, seq)` in any
+/// round slot, and the round marker's `u32::MAX` stays out of reach.
+const PLANE_SEQ: u32 = u32::MAX / 2;
+
 /// Keep at most this many round contexts cached before pruning the ones
 /// every node has already passed.
 const CTX_CACHE_SOFT_CAP: usize = 64;
 
-/// Per-round global context: topology view, repaired hierarchy and the
-/// round's crash/down state, identical to what the lock-step engine
-/// computes at the top of its round loop.
-struct RoundCtx {
-    csr: Arc<CsrGraph>,
-    hierarchy: Arc<Hierarchy>,
-    /// `down[i]`: node `i` is silent this round (inside a crash window).
-    down: Box<[bool]>,
-    /// `crashed[i]`: the fault plane crashes node `i` at the start of this
-    /// round (the node applies `on_restart` when it reaches the round).
-    crashed: Box<[bool]>,
-}
-
-/// Per-round builder-side event log, kept for the whole run (unlike the
-/// heavyweight [`RoundCtx`]s, which are pruned): everything the trace
-/// replay and the crash/recovery counters need.
-#[derive(Default)]
-struct RoundLog {
-    recoveries: Vec<usize>,
-    crashes: Vec<usize>,
-    /// `(node, old_head, new_head)` — recorded only when tracing.
-    reaffs: Vec<(u64, Option<u64>, Option<u64>)>,
-}
-
-/// Round-context server: owns the provider and builds [`RoundCtx`]s
-/// strictly in round order (crash state is a running fold over rounds).
+/// Round-context server: owns the [`Rounds`] builder and caches the built
+/// contexts for the workers (pruned once every node has passed them) plus
+/// every round's log, kept for the trace replay and the crash/recovery
+/// counters.
 struct Builder<'p> {
-    provider: &'p mut (dyn HierarchyProvider + Send),
-    n: usize,
-    validate: bool,
-    tracing: bool,
-    faults: FaultPlan,
-    trivial: bool,
-    next: usize,
-    down_until: Vec<usize>,
-    was_down: Vec<bool>,
-    prev_heads: Vec<Option<NodeId>>,
-    graph_cache: Option<(Arc<Graph>, Arc<CsrGraph>)>,
+    rounds: Rounds<'p>,
     ctxs: BTreeMap<usize, Arc<RoundCtx>>,
     logs: Vec<RoundLog>,
-}
-
-impl Builder<'_> {
-    fn build_next(&mut self) {
-        let round = self.next;
-        let n = self.n;
-        let graph = self.provider.graph_at(round);
-        let mut hierarchy = self.provider.hierarchy_at(round);
-        if self.validate {
-            hierarchy
-                .validate(&graph)
-                .unwrap_or_else(|e| panic!("round {round}: invalid hierarchy: {e}"));
-        }
-        let rebuild = self
-            .graph_cache
-            .as_ref()
-            .is_none_or(|(src, _)| !Arc::ptr_eq(src, &graph));
-        if rebuild {
-            self.graph_cache = Some((Arc::clone(&graph), Arc::new(CsrGraph::from(&*graph))));
-        }
-        let csr = Arc::clone(&self.graph_cache.as_ref().expect("csr cache primed").1);
-
-        let mut log = RoundLog::default();
-        let mut crashed = vec![false; n].into_boxed_slice();
-        if !self.trivial {
-            for i in 0..n {
-                if self.was_down[i] && round >= self.down_until[i] {
-                    self.was_down[i] = false;
-                    log.recoveries.push(i);
-                }
-            }
-            for i in 0..n {
-                if round < self.down_until[i] {
-                    continue; // still down; cannot crash again yet
-                }
-                let me = NodeId::from_index(i);
-                if self.faults.crashes(round, i, hierarchy.is_head(me)) {
-                    crashed[i] = true;
-                    log.crashes.push(i);
-                    self.down_until[i] = round + self.faults.down_rounds;
-                    self.was_down[i] = true;
-                }
-            }
-        }
-        let down: Box<[bool]> = (0..n).map(|i| round < self.down_until[i]).collect();
-        if !self.trivial && (0..n).any(|i| down[i] && hierarchy.is_head(NodeId::from_index(i))) {
-            hierarchy = Arc::new(re_elect(
-                &graph,
-                &hierarchy,
-                &down,
-                GatewayPolicy::default(),
-            ));
-        }
-        if self.tracing {
-            let heads: Vec<Option<NodeId>> = (0..n)
-                .map(|i| hierarchy.head_of(NodeId::from_index(i)))
-                .collect();
-            if round > 0 {
-                for (i, (old, new)) in self.prev_heads.iter().zip(&heads).enumerate() {
-                    if old != new {
-                        log.reaffs.push((
-                            i as u64,
-                            old.map(|h| h.0 as u64),
-                            new.map(|h| h.0 as u64),
-                        ));
-                    }
-                }
-            }
-            self.prev_heads = heads;
-        }
-        self.logs.push(log);
-        self.ctxs.insert(
-            round,
-            Arc::new(RoundCtx {
-                csr,
-                hierarchy,
-                down,
-                crashed,
-            }),
-        );
-        self.next = round + 1;
-    }
 }
 
 /// One node's contribution to a round, accumulated across its send and
 /// receive steps and reported to the oracle once the round is done.
 #[derive(Default)]
 struct NodeReport {
-    tokens: u64,
-    packets: u64,
-    by_role: [u64; 3],
-    dropped_unicasts: u64,
-    faults: u64,
-    partition: bool,
-    retransmits: u64,
-    delays: u64,
-    dups_injected: u64,
-    dups_discarded: u64,
-    rt_timeouts: u64,
+    sends: Sends,
+    tally: Tally,
     informed_start: i64,
     informed_end: i64,
     finished: i64,
-    /// Net change in this node's delivery-plane in-flight count (held
-    /// delayed envelopes + unacked reliability-window entries) over the
-    /// round — the oracle must not declare all-finished while envelopes
-    /// that could still inform someone are in the air.
+    /// Net change in this node's delivery-plane in-flight count (sent
+    /// delayed envelopes not yet due + unacked reliability-window entries)
+    /// over the round — the oracle must not declare all-finished while
+    /// envelopes that could still inform someone are in the air.
     inflight: i64,
 }
 
@@ -230,13 +118,13 @@ struct Oracle {
     rounds_executed: usize,
     completion_round: Option<usize>,
     metrics: Metrics,
-    fault_window: Option<(u64, u64)>,
-    backbone: bool,
+    tally: Tally,
     pending: BTreeMap<usize, PendingRound>,
     record_rounds: bool,
     stop_on_completion: bool,
-    /// Running total of delivery-plane in-flight envelopes (held delayed
-    /// envelopes + unacked reliability-window entries) across all nodes,
+    /// Running total of delivery-plane in-flight envelopes (delayed
+    /// envelopes not yet due + unacked reliability-window entries) across
+    /// all nodes,
     /// folded from the per-round deltas. All-finished does not stop the
     /// run while this is non-zero.
     inflight: i64,
@@ -248,19 +136,8 @@ impl Oracle {
     fn report(&mut self, round: usize, rep: NodeReport) -> Option<usize> {
         let pr = self.pending.entry(round).or_default();
         pr.reports += 1;
-        pr.agg.tokens += rep.tokens;
-        pr.agg.packets += rep.packets;
-        for s in 0..3 {
-            pr.agg.by_role[s] += rep.by_role[s];
-        }
-        pr.agg.dropped_unicasts += rep.dropped_unicasts;
-        pr.agg.faults += rep.faults;
-        pr.agg.partition |= rep.partition;
-        pr.agg.retransmits += rep.retransmits;
-        pr.agg.delays += rep.delays;
-        pr.agg.dups_injected += rep.dups_injected;
-        pr.agg.dups_discarded += rep.dups_discarded;
-        pr.agg.rt_timeouts += rep.rt_timeouts;
+        pr.agg.sends.add(&rep.sends);
+        pr.agg.tally.add(&rep.tally);
         pr.agg.informed_start += rep.informed_start;
         pr.agg.informed_end += rep.informed_end;
         pr.agg.finished += rep.finished;
@@ -282,31 +159,10 @@ impl Oracle {
             let informed_at_start = self.informed;
             self.informed = (self.informed as i64 + a.informed_end) as usize;
             self.finished = (self.finished as i64 + a.finished) as usize;
-            let m = &mut self.metrics;
-            m.tokens_sent += a.tokens;
-            m.packets_sent += a.packets;
-            for s in 0..3 {
-                m.tokens_by_role[s] += a.by_role[s];
-            }
-            m.dropped_unicasts += a.dropped_unicasts;
-            m.faults_injected += a.faults;
-            m.retransmits += a.retransmits;
-            m.delays_injected += a.delays;
-            m.duplicates_injected += a.dups_injected;
-            m.dups_discarded += a.dups_discarded;
-            m.retransmit_timeouts += a.rt_timeouts;
+            self.metrics
+                .add_sends(&a.sends, self.record_rounds, informed_at_start);
+            self.tally.add(&a.tally);
             self.inflight += a.inflight;
-            if a.faults > 0 {
-                note_fault(&mut self.fault_window, r as u64);
-            }
-            self.backbone |= a.partition;
-            if self.record_rounds {
-                m.rounds.push(RoundMetrics {
-                    tokens_sent: a.tokens,
-                    packets_sent: a.packets,
-                    informed_nodes: informed_at_start,
-                });
-            }
             self.rounds_executed = r + 1;
             if self.completion_round.is_none() && self.informed == self.n {
                 self.completion_round = Some(r + 1);
@@ -367,55 +223,8 @@ impl Doorbell {
     }
 }
 
-/// Buffered trace event, replayed through the real [`Tracer`] after the
-/// run in lock-step emission order.
-enum BufEvt {
-    Broadcast {
-        token: u64,
-        cost: u64,
-        role: obs::Role,
-        bytes: u64,
-    },
-    Push {
-        token: u64,
-        cost: u64,
-        role: obs::Role,
-        to: u64,
-        bytes: u64,
-    },
-    Retransmit {
-        cost: u64,
-        dst: Option<u64>,
-    },
-    Fault {
-        to: u64,
-        kind: FaultKind,
-    },
-    Delayed {
-        to: u64,
-        rounds: u64,
-    },
-    Duplicated {
-        to: u64,
-    },
-    RetransmitTimeout {
-        to: u64,
-        attempt: u32,
-    },
-}
-
-/// An outgoing envelope the fault plane delayed: it is held at the sender
-/// and flushed (with its original `rid`) during the sender's `release`
-/// round send step, landing in the receiver's `release`-round inbox.
-struct HeldEnvelope {
-    release: usize,
-    to: NodeId,
-    rid: u64,
-    payload: Payload,
-    directed: bool,
-}
-
 /// Per-node runtime state owned by its shard.
+#[derive(Default)]
 struct NodeState {
     round: usize,
     sent: bool,
@@ -431,46 +240,25 @@ struct NodeState {
     rep: NodeReport,
     /// Last round in which this node applied a crash restart.
     crashed_at: Option<usize>,
-    /// Outgoing envelopes the fault plane delayed, awaiting their release
-    /// round.
-    held: Vec<HeldEnvelope>,
+    /// Due rounds of the delayed envelopes this node sent that have not
+    /// matured yet — in flight until then.
+    delays_due: Vec<usize>,
+    /// Delivery-plane envelopes (timer retransmits and delayed sends) this
+    /// node sent so far: the next one's key is [`PLANE_SEQ`] plus this.
+    plane_sent: u32,
     /// Reliability sender window — `Some` only when the run is reliable;
     /// carries every unacked envelope and its retransmit timer.
     window: Option<SenderWindow<(Payload, bool)>>,
     /// Reliability receiver ledger: per-sender cumulative-ack state and
     /// rid-level dedup for retransmitted envelopes.
     ledger: ReceiverLedger,
-    /// In-flight count (held + window) at the end of the last receive
+    /// In-flight count (delays + window) at the end of the last receive
     /// step, so each round reports a delta to the oracle.
     last_inflight: i64,
     /// Buffered trace events, `(round, events)` ascending.
-    evts: Vec<(usize, Vec<BufEvt>)>,
+    evts: Vec<(usize, Vec<Event>)>,
     /// Buffered message records (rounds ascending).
     msgs: Vec<MessageRecord>,
-}
-
-impl NodeState {
-    fn new() -> NodeState {
-        NodeState {
-            round: 0,
-            sent: false,
-            stalled: false,
-            done: false,
-            informed: false,
-            finished: false,
-            buffer: RoundBuffer::new(),
-            scratch: Vec::new(),
-            learned: TokenSet::new(),
-            rep: NodeReport::default(),
-            crashed_at: None,
-            held: Vec::new(),
-            window: None,
-            ledger: ReceiverLedger::new(),
-            last_inflight: 0,
-            evts: Vec::new(),
-            msgs: Vec::new(),
-        }
-    }
 }
 
 /// A contiguous node range plus its protocol instances — one worker
@@ -498,11 +286,9 @@ struct Shared<'a> {
     universe: &'a TokenSet,
     assignment: &'a [Vec<TokenId>],
     faults: &'a FaultPlan,
-    trivial: bool,
+    gates: Gates<'a>,
     tracing: bool,
     record_messages: bool,
-    token_bytes: u64,
-    packet_header_bytes: u64,
     /// Reliability layer active: acks ride on round markers, unacked
     /// envelopes retransmit on timer (only with a non-trivial fault plan).
     reliable: bool,
@@ -553,8 +339,11 @@ impl Shared<'_> {
     /// contexts every node has already passed.
     fn ctx(&self, round: usize) -> Arc<RoundCtx> {
         let mut b = self.server.lock().expect("context server lock");
-        while b.next <= round {
-            b.build_next();
+        while b.logs.len() <= round {
+            let (ctx, log) = b.rounds.build();
+            let built = b.logs.len();
+            b.ctxs.insert(built, Arc::new(ctx));
+            b.logs.push(log);
         }
         if b.ctxs.len() > CTX_CACHE_SOFT_CAP {
             let min = self
@@ -596,37 +385,18 @@ impl Drop for AbortGuard<'_, '_> {
 /// argument); the returned [`RunReport`] additionally carries wall-clock
 /// throughput and per-token latency in [`RunReport::wall`].
 pub(crate) fn run<P: Protocol + Send>(
-    mut cfg: RunConfig<'_>,
+    cfg: RunConfig<'_>,
+    start: Instant,
+    tracer: &mut Tracer,
     provider: &mut (dyn HierarchyProvider + Send),
     protocols: &mut [P],
     assignment: &[Vec<TokenId>],
+    universe: TokenSet,
 ) -> RunReport {
-    let start = Instant::now();
-    let mut disabled = Tracer::disabled();
-    let tracer: &mut Tracer = match cfg.tracer.take() {
-        Some(t) => t,
-        None => &mut disabled,
-    };
     let faults = cfg.faults.clone();
-
     let n = provider.n();
-    assert_eq!(protocols.len(), n, "one protocol per node");
-    assert_eq!(assignment.len(), n, "one initial token list per node");
     let threads = resolve_event_threads(cfg.threads, n);
-
-    let universe: TokenSet = assignment.iter().flatten().copied().collect();
     let k = universe.len();
-    if tracer.enabled() {
-        let w = cfg.cost_weights;
-        tracer.meta("token_bytes", w.token_bytes.to_string());
-        tracer.meta("packet_header_bytes", w.packet_header_bytes.to_string());
-        tracer.meta("mode", "event");
-    }
-    for (i, p) in protocols.iter_mut().enumerate() {
-        p.on_start(NodeId::from_index(i), &assignment[i]);
-    }
-
-    let trivial = faults.is_trivial();
     let tracing = tracer.enabled();
 
     // Initial census: informed/finished counts plus the latency cover
@@ -643,34 +413,10 @@ pub(crate) fn run<P: Protocol + Send>(
         }
     }
 
-    let wall_degenerate = || WallClock {
-        elapsed_ns: start.elapsed().as_nanos() as u64,
-        tokens_per_sec: 0.0,
-        latency: None,
-        reassembly_stalls: 0,
-        mailbox_depth_max: 0,
-    };
-
-    // Degenerate cases the lock-step loop never enters: everyone informed
-    // before any round, or a zero round budget.
-    if informed0 == n {
-        tracer.run_end(0, true);
-        return RunReport {
-            rounds_executed: 0,
-            completion_round: Some(0),
-            metrics: Metrics::default(),
-            k,
-            cost_weights: cfg.cost_weights,
-            outcome: Outcome::Completed { round: 0 },
-            wall: wall_degenerate(),
-            stability: None,
-            stall: None,
-        };
-    }
+    // A zero round budget: the worker loop cannot express it.
     if cfg.max_rounds == 0 {
         tracer.run_end(0, false);
-        let flat: Vec<&P> = protocols.iter().collect();
-        let missing = missing_tokens(&universe, &flat, k);
+        let missing = missing_tokens(&universe, protocols.iter());
         return RunReport {
             rounds_executed: 0,
             completion_round: None,
@@ -681,7 +427,7 @@ pub(crate) fn run<P: Protocol + Send>(
                 missing_tokens: missing,
                 budget_exhausted: true,
             },
-            wall: wall_degenerate(),
+            wall: lockstep_wall(start, 0),
             stability: None,
             stall: None,
         };
@@ -701,17 +447,7 @@ pub(crate) fn run<P: Protocol + Send>(
 
     let shared = Shared {
         server: Mutex::new(Builder {
-            provider,
-            n,
-            validate: cfg.validate_hierarchy,
-            tracing,
-            faults: faults.clone(),
-            trivial,
-            next: 0,
-            down_until: vec![0; n],
-            was_down: vec![false; n],
-            prev_heads: Vec::new(),
-            graph_cache: None,
+            rounds: Rounds::new(provider, &cfg, tracing),
             ctxs: BTreeMap::new(),
             logs: Vec::new(),
         }),
@@ -725,8 +461,7 @@ pub(crate) fn run<P: Protocol + Send>(
             rounds_executed: 0,
             completion_round: None,
             metrics: Metrics::default(),
-            fault_window: None,
-            backbone: false,
+            tally: Tally::default(),
             pending: BTreeMap::new(),
             record_rounds: cfg.record_rounds,
             stop_on_completion: cfg.stop_on_completion,
@@ -745,12 +480,10 @@ pub(crate) fn run<P: Protocol + Send>(
         universe: &universe,
         assignment,
         faults: &faults,
-        trivial,
+        gates: Gates::new(&faults),
         tracing,
         record_messages: cfg.record_messages,
-        token_bytes: cfg.cost_weights.token_bytes,
-        packet_header_bytes: cfg.cost_weights.packet_header_bytes,
-        reliable: cfg.reliable && !trivial,
+        reliable: cfg.reliable && !faults.is_trivial(),
         watchdog: (cfg.stall_rounds > 0).then(|| {
             let window = PARK_TIMEOUT * cfg.stall_rounds as u32;
             Mutex::new(Watchdog::new(Instant::now(), window))
@@ -779,15 +512,12 @@ pub(crate) fn run<P: Protocol + Send>(
             let (chunk, tail) = rest.split_at_mut(take);
             let mut nodes = Vec::with_capacity(take);
             for (j, p) in chunk.iter().enumerate() {
-                let mut st = NodeState::new();
+                let mut st = NodeState::default();
                 st.learned = p.known().clone();
                 st.informed = universe.is_subset(p.known());
                 st.finished = p.finished();
                 if shared.reliable {
-                    // Same per-sender jitter seed derivation as lock-step.
-                    let seed =
-                        faults.seed ^ ((base + j) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                    st.window = Some(SenderWindow::new(seed, ReliableConfig::default()));
+                    st.window = Some(delivery::sender_window(&faults, base + j));
                 }
                 nodes.push(st);
             }
@@ -816,8 +546,9 @@ pub(crate) fn run<P: Protocol + Send>(
     let rounds_executed = oracle.rounds_executed;
     let completion_round = oracle.completion_round;
     let budget_exhausted = !oracle.early_stop;
-    let mut fault_window = oracle.fault_window;
-    let mut backbone = oracle.backbone;
+    let mut fault_window = oracle.tally.fault_window;
+    let mut backbone = oracle.tally.partitioned;
+    metrics.absorb(&oracle.tally);
 
     // Crash/recovery counts and the crash side of the fault window come
     // from the builder's per-round logs, clipped to the executed rounds.
@@ -859,30 +590,18 @@ pub(crate) fn run<P: Protocol + Send>(
         }
     }
 
-    // Message-log merge in lock-step order (ascending round, then node),
-    // honouring the cap exactly like the lock-step recorder.
+    // Message-log merge in lock-step order (ascending round, then node —
+    // the sort is stable over node order) through the lock-step recorder.
     if cfg.record_messages {
-        let mut cursors = vec![0usize; n];
-        'merge: for r in 0..rounds_executed {
-            for shard in &shards {
-                for (j, st) in shard.nodes.iter().enumerate() {
-                    let c = &mut cursors[shard.base + j];
-                    while *c < st.msgs.len() && st.msgs[*c].round == r {
-                        if metrics.log.len() >= cfg.message_log_cap {
-                            metrics.log_truncated = true;
-                            eprintln!(
-                                "hinet-sim: message log reached RunConfig::message_log_cap \
-                                 ({}); further MessageRecords are dropped — raise the cap or \
-                                 disable record_messages for large runs",
-                                cfg.message_log_cap
-                            );
-                            break 'merge;
-                        }
-                        metrics.log.push(st.msgs[*c].clone());
-                        *c += 1;
-                    }
-                }
-            }
+        let mut records: Vec<&MessageRecord> = shards
+            .iter()
+            .flat_map(|shard| &shard.nodes)
+            .flat_map(|st| &st.msgs)
+            .filter(|m| m.round < rounds_executed)
+            .collect();
+        records.sort_by_key(|m| m.round);
+        for m in records {
+            record_message(&mut metrics, cfg.message_log_cap, m.clone());
         }
     }
 
@@ -890,29 +609,34 @@ pub(crate) fn run<P: Protocol + Send>(
     // exact lock-step order, so event-mode trace bytes match lock-step.
     if tracing {
         let durable = faults.durable_tokens;
-        let mut cursors = vec![0usize; n];
+        let mut per_node: Vec<_> = shards
+            .iter_mut()
+            .flat_map(|shard| &mut shard.nodes)
+            .map(|st| std::mem::take(&mut st.evts).into_iter().peekable())
+            .collect();
+        let mut rec = Traced {
+            tracer: &mut *tracer,
+            weights: cfg.cost_weights,
+        };
         for r in 0..rounds_executed {
-            tracer.round_start(r as u64);
+            rec.tracer.round_start(r as u64);
             let log = &server.logs[r];
             for &i in &log.recoveries {
-                tracer.recover(r as u64, i as u64);
+                rec.tracer.recover(r as u64, i as u64);
             }
             for &i in &log.crashes {
-                tracer.crash(r as u64, i as u64, durable);
+                rec.tracer.crash(r as u64, i as u64, durable);
             }
             for &(node, old, new) in &log.reaffs {
-                tracer.reaffiliation(r as u64, node, old, new);
+                rec.tracer.reaffiliation(r as u64, node, old, new);
             }
-            for shard in &shards {
-                for (j, st) in shard.nodes.iter().enumerate() {
-                    let i = shard.base + j;
-                    let c = &mut cursors[i];
-                    if *c < st.evts.len() && st.evts[*c].0 == r {
-                        for e in &st.evts[*c].1 {
-                            replay(tracer, r as u64, i as u64, e);
-                        }
-                        *c += 1;
-                    }
+            for evts in &mut per_node {
+                for e in evts
+                    .next_if(|(round, _)| *round == r)
+                    .into_iter()
+                    .flat_map(|(_, e)| e)
+                {
+                    rec.record(r, e);
                 }
             }
         }
@@ -927,9 +651,6 @@ pub(crate) fn run<P: Protocol + Send>(
     tracer.run_end(rounds_executed as u64, completion_round.is_some());
     let stalls = shared.stalls.load(Ordering::Relaxed);
     let depth = shared.transport.max_depth() as u64;
-    if tracing {
-        tracer.note_dedup(metrics.dups_discarded);
-    }
 
     // Wall-clock metrics: throughput over the whole execution, per-token
     // cover latency from the stamped completion instants.
@@ -964,13 +685,7 @@ pub(crate) fn run<P: Protocol + Send>(
     let outcome = match completion_round {
         Some(round) => Outcome::Completed { round },
         None => {
-            let missing = {
-                let mut flat: Vec<&P> = Vec::with_capacity(n);
-                for shard in &shards {
-                    flat.extend(shard.protocols.iter());
-                }
-                missing_tokens(&universe, &flat, k)
-            };
+            let missing = missing_tokens(&universe, shards.iter().flat_map(|s| s.protocols.iter()));
             if stall.is_some() {
                 // The watchdog halted the run: report the stall with its
                 // structured diagnosis regardless of injected faults (the
@@ -1004,20 +719,6 @@ pub(crate) fn run<P: Protocol + Send>(
         stability: None,
         stall,
     }
-}
-
-/// `k` minus the number of tokens known everywhere (the lock-step stall
-/// accounting, word-for-word).
-fn missing_tokens<P: Protocol>(universe: &TokenSet, protocols: &[&P], k: usize) -> usize {
-    let mut everywhere = universe.clone();
-    for p in protocols {
-        if everywhere.is_empty() {
-            break;
-        }
-        let known = p.known();
-        everywhere = everywhere.iter().filter(|t| known.contains(t)).collect();
-    }
-    k - everywhere.len()
 }
 
 /// The worker loop for one shard: repeatedly sweep the shard's nodes,
@@ -1150,9 +851,9 @@ fn record_stall<P: Protocol>(shared: &Shared<'_>, shard: &Shard<'_, P>) {
 }
 
 /// A node's round-`r` send step: apply this round's crash (if any), run the
-/// protocol's send against the round view, gate every delivery through the
-/// fault plane, enqueue payload envelopes, and flush one end-of-round
-/// marker per neighbour.
+/// protocol's send against the round view, pass every delivery through the
+/// delivery plane's gates, enqueue payload envelopes, and flush one
+/// end-of-round marker per neighbour.
 fn step_send<P: Protocol>(
     shared: &Shared<'_>,
     i: usize,
@@ -1163,203 +864,102 @@ fn step_send<P: Protocol>(
 ) {
     let me = NodeId::from_index(i);
     if ctx.crashed[i] {
-        let retained: Vec<TokenId> = if shared.faults.durable_tokens {
-            p.known().iter().collect()
-        } else {
-            shared.assignment[i].clone()
-        };
-        p.on_restart(me, &retained);
+        restart(p, me, shared.faults, &shared.assignment[i]);
         st.crashed_at = Some(r);
         let inf = shared.universe.is_subset(p.known());
         st.rep.informed_start += i64::from(inf) - i64::from(st.informed);
         st.informed = inf;
     }
     let neighbors = ctx.csr.neighbors(me);
-    let mut evts: Vec<BufEvt> = Vec::new();
+    let mut evts: Option<Vec<Event>> = shared.tracing.then(Vec::new);
     let role = ctx.hierarchy.role(me);
-    // Delivery-plane flushes (timer retransmits, matured delayed
-    // envelopes) take seq numbers descending from just below the marker
-    // sentinel: fresh protocol sends keep the lock-step 0.. numbering (so
-    // their delay/dup hash keys match lock-step), and the buffer's
-    // `(from, seq)` sort stays collision-free.
-    let mut flush_seq = u32::MAX - 1;
-    if !ctx.down[i] {
-        // Reliability-window timer retransmits: a re-send pays full token
-        // cost, keeps its original rid (receiver ledgers dedup), and skips
-        // the delay/dup rolls — only the loss gate applies.
-        let due = match st.window.as_mut() {
-            Some(w) => w.due(r),
-            None => Vec::new(),
-        };
-        for rt in due {
-            let v = NodeId::from_index(rt.to);
-            if !ctx.csr.has_edge(me, v) {
-                continue; // no edge this round; the timer re-fires later
-            }
-            let (payload, directed) = rt.item;
-            let cost = payload.len() as u64;
-            st.rep.tokens += cost;
-            st.rep.packets += 1;
-            st.rep.by_role[role_slot(role)] += cost;
-            st.rep.rt_timeouts += 1;
-            if shared.tracing {
-                evts.push(BufEvt::RetransmitTimeout {
-                    to: v.0 as u64,
-                    attempt: rt.attempt,
-                });
-            }
-            if !shared.trivial && gated(shared, r, me, v, ctx, st, &mut evts) {
-                continue;
-            }
-            shared.transport.send(Envelope {
-                round: r,
-                from: me,
-                to: v,
-                seq: flush_seq,
-                kind: EnvelopeKind::Payload {
-                    payload,
-                    directed,
-                    rid: rt.rid,
-                },
-            });
-            flush_seq -= 1;
+    let send = |round: usize, to: NodeId, seq: u32, payload: Payload, directed: bool, rid: u64| {
+        shared.transport.send(Envelope {
+            round,
+            from: me,
+            to,
+            seq,
+            kind: EnvelopeKind::Payload {
+                payload,
+                directed,
+                rid,
+            },
+        })
+    };
+    // Reliability-window timer retransmits: a re-send pays full token
+    // cost and keeps its original rid (receiver ledgers dedup).
+    let due = match st.window.as_mut() {
+        Some(w) if !ctx.down[i] => w.due(r),
+        _ => Vec::new(),
+    };
+    for rt in due {
+        let v = NodeId::from_index(rt.to);
+        if !ctx.csr.has_edge(me, v) {
+            continue; // no edge this round; the timer re-fires later
         }
-        // Matured delayed envelopes land in the receiver's current-round
-        // inbox; a receiver down at maturity loses them (the reliability
-        // layer, when on, recovers by timer).
-        if !st.held.is_empty() {
-            let held = std::mem::take(&mut st.held);
-            for h in held {
-                if h.release > r || !ctx.csr.has_edge(me, h.to) {
-                    st.held.push(h);
-                    continue;
-                }
-                if ctx.down[h.to.index()] {
-                    continue;
-                }
-                shared.transport.send(Envelope {
-                    round: r,
-                    from: me,
-                    to: h.to,
-                    seq: flush_seq,
-                    kind: EnvelopeKind::Payload {
-                        payload: h.payload,
-                        directed: h.directed,
-                        rid: h.rid,
-                    },
-                });
-                flush_seq -= 1;
-            }
+        st.rep.sends.charge(rt.item.0.len() as u64, role);
+        let down = ctx.down[rt.to];
+        if shared
+            .gates
+            .resend(r, i, &rt, down, &mut st.rep.tally, &mut evts)
+        {
+            let (payload, directed) = rt.item;
+            send(r, v, PLANE_SEQ + st.plane_sent, payload, directed, rt.rid);
+            st.plane_sent += 1;
         }
     }
     if !ctx.down[i] && !p.finished() {
-        let view = LocalView {
-            me,
-            round: r,
-            role,
-            cluster: ctx.hierarchy.cluster_of(me),
-            head: ctx.hierarchy.head_of(me),
-            parent: ctx.hierarchy.parent_of(me),
-            neighbors,
-        };
-        let outs = p.send(&view);
+        let view = local_view(me, r, &ctx.hierarchy, &ctx.csr);
         let mut seq = 0u32;
-        for out in outs {
+        for out in p.send(&view) {
             if out.payload.is_empty() {
                 continue;
             }
-            let cost = out.payload.len() as u64;
-            st.rep.tokens += cost;
-            st.rep.packets += 1;
-            st.rep.by_role[role_slot(role)] += cost;
-            if shared.tracing {
-                let bytes = cost * shared.token_bytes + shared.packet_header_bytes;
-                let token = out.payload.first().expect("non-empty payload").0;
-                match out.dest {
-                    Destination::Broadcast => evts.push(BufEvt::Broadcast {
-                        token,
-                        cost,
-                        role: obs_role(role),
-                        bytes,
-                    }),
-                    Destination::Unicast(v) => evts.push(BufEvt::Push {
-                        token,
-                        cost,
-                        role: obs_role(role),
-                        to: v.0 as u64,
-                        bytes,
-                    }),
-                }
+            let targets = st.rep.sends.send(r, me, role, &out, &ctx.csr, &mut evts);
+            let directed = out.dest != Destination::Broadcast;
+            if shared.record_messages {
+                st.msgs
+                    .push(MessageRecord::new(r, me, &out, !targets.is_empty()));
             }
-            if out.retransmit {
-                st.rep.retransmits += 1;
-                if shared.tracing {
-                    let dst = match out.dest {
-                        Destination::Broadcast => None,
-                        Destination::Unicast(v) => Some(v.0 as u64),
-                    };
-                    evts.push(BufEvt::Retransmit { cost, dst });
-                }
-            }
-            match out.dest {
-                Destination::Broadcast => {
-                    if shared.record_messages {
-                        st.msgs.push(MessageRecord {
-                            round: r,
-                            from: me,
-                            to: None,
-                            delivered: true,
-                            tokens: out.payload.to_vec(),
-                        });
-                    }
-                    for &v in neighbors {
-                        deliver(
-                            shared,
-                            r,
-                            me,
+            for &v in targets {
+                let rid = match st.window.as_mut() {
+                    Some(w) => w.register(v.index(), (out.payload.clone(), directed), r),
+                    None => 0,
+                };
+                let hop = (i, v.index(), seq);
+                let down = || ctx.down[v.index()];
+                match shared
+                    .gates
+                    .fresh(r, hop, down, &mut st.rep.tally, &mut evts)
+                {
+                    Fate::Lost => {}
+                    // The receiver files it for its due round; the FIFO
+                    // mailbox lands it ahead of this round's marker.
+                    Fate::Delayed(due) => {
+                        send(
+                            due,
                             v,
-                            ctx,
-                            st,
-                            &mut evts,
-                            &out.payload,
-                            false,
-                            seq,
+                            PLANE_SEQ + st.plane_sent,
+                            out.payload.clone(),
+                            directed,
+                            rid,
                         );
+                        st.plane_sent += 1;
+                        st.delays_due.push(due);
                     }
-                }
-                Destination::Unicast(v) => {
-                    let delivered = ctx.csr.has_edge(me, v);
-                    if shared.record_messages {
-                        st.msgs.push(MessageRecord {
-                            round: r,
-                            from: me,
-                            to: Some(v),
-                            delivered,
-                            tokens: out.payload.to_vec(),
-                        });
-                    }
-                    if delivered {
-                        deliver(
-                            shared,
-                            r,
-                            me,
-                            v,
-                            ctx,
-                            st,
-                            &mut evts,
-                            &out.payload,
-                            true,
-                            seq,
-                        );
-                    } else {
-                        st.rep.dropped_unicasts += 1;
+                    // A duplicate travels as a second identical envelope;
+                    // the receiver's buffer discards and counts it.
+                    Fate::OnTime { duplicated } => {
+                        for _ in 0..=usize::from(duplicated) {
+                            send(r, v, seq, out.payload.clone(), directed, rid);
+                        }
                     }
                 }
             }
             seq += 1;
         }
     }
-    if shared.tracing && !evts.is_empty() {
+    if let Some(evts) = evts.filter(|e| !e.is_empty()) {
         st.evts.push((r, evts));
     }
     // End-of-round markers: every node — down, finished or silent — tells
@@ -1382,109 +982,6 @@ fn step_send<P: Protocol>(
     }
 }
 
-/// Fault-plane delivery gate (the lock-step `faulted_delivery`, buffered):
-/// `true` when the `from → to` delivery is lost this round. Deliveries to
-/// crashed receivers are lost silently — the crash event already explains
-/// them.
-fn gated(
-    shared: &Shared<'_>,
-    r: usize,
-    from: NodeId,
-    to: NodeId,
-    ctx: &RoundCtx,
-    st: &mut NodeState,
-    evts: &mut Vec<BufEvt>,
-) -> bool {
-    if ctx.down[to.index()] {
-        return true;
-    }
-    let kind = if shared.faults.partitioned(r, from.index(), to.index()) {
-        FaultKind::Partition
-    } else if shared.faults.drops_message(r, from.index(), to.index()) {
-        FaultKind::Loss
-    } else {
-        return false;
-    };
-    if kind == FaultKind::Partition {
-        st.rep.partition = true;
-    }
-    st.rep.faults += 1;
-    if shared.tracing {
-        evts.push(BufEvt::Fault {
-            to: to.0 as u64,
-            kind,
-        });
-    }
-    true
-}
-
-/// One fresh protocol-send delivery `from → to`: register it with the
-/// reliability window (before the loss gate, so lost envelopes still
-/// retransmit), roll the fault plane's loss / delay / duplication
-/// decisions, and either hold the envelope for its release round or
-/// enqueue it (twice, when duplicated — the receiver buffer's `(from,
-/// seq)` dedup discards and counts the copy).
-#[allow(clippy::too_many_arguments)]
-fn deliver(
-    shared: &Shared<'_>,
-    r: usize,
-    me: NodeId,
-    v: NodeId,
-    ctx: &RoundCtx,
-    st: &mut NodeState,
-    evts: &mut Vec<BufEvt>,
-    payload: &Payload,
-    directed: bool,
-    seq: u32,
-) {
-    let rid = match st.window.as_mut() {
-        Some(w) => w.register(v.index(), (payload.clone(), directed), r),
-        None => 0,
-    };
-    if !shared.trivial && gated(shared, r, me, v, ctx, st, evts) {
-        return;
-    }
-    if !shared.trivial {
-        let d = shared.faults.delay_of(r, me.index(), v.index(), seq);
-        if d > 0 {
-            st.rep.delays += 1;
-            if shared.tracing {
-                evts.push(BufEvt::Delayed {
-                    to: v.0 as u64,
-                    rounds: d as u64,
-                });
-            }
-            st.held.push(HeldEnvelope {
-                release: r + d,
-                to: v,
-                rid,
-                payload: payload.clone(),
-                directed,
-            });
-            return;
-        }
-    }
-    let envelope = || Envelope {
-        round: r,
-        from: me,
-        to: v,
-        seq,
-        kind: EnvelopeKind::Payload {
-            payload: payload.clone(),
-            directed,
-            rid,
-        },
-    };
-    shared.transport.send(envelope());
-    if !shared.trivial && shared.faults.duplicates(r, me.index(), v.index(), seq) {
-        st.rep.dups_injected += 1;
-        if shared.tracing {
-            evts.push(BufEvt::Duplicated { to: v.0 as u64 });
-        }
-        shared.transport.send(envelope());
-    }
-}
-
 /// A node's round-`r` receive step: release the reassembled inbox, run the
 /// protocol's receive (unless the node is down — its inbox is lost), track
 /// informed/finished transitions and the per-token latency cover, and
@@ -1499,7 +996,7 @@ fn step_recv<P: Protocol>(
 ) {
     let me = NodeId::from_index(i);
     let taken = st.buffer.take_round(r);
-    st.rep.dups_discarded += taken.dups_discarded;
+    st.rep.tally.dups_discarded += taken.dups_discarded;
     let mut inbox = taken.inbox;
     if !ctx.down[i] {
         if shared.reliable {
@@ -1510,32 +1007,14 @@ fn step_recv<P: Protocol>(
                     w.ack(from.index(), ack);
                 }
             }
-            // Rid-level dedup: the buffer's `(from, seq)` dedup cannot see
-            // a timer retransmit of an envelope that also arrived late —
-            // the receiver ledger can.
-            let rids = taken.rids;
-            let mut keep = Vec::with_capacity(inbox.len());
-            for (msg, rid) in inbox.into_iter().zip(rids) {
-                if st.ledger.accept(msg.from.index(), rid) {
-                    keep.push(msg);
-                } else {
-                    st.rep.dups_discarded += 1;
-                }
-            }
-            inbox = keep;
+            let mut rids = taken.rids.into_iter();
+            inbox.retain(|m| {
+                let rid = rids.next().expect("one rid per envelope");
+                delivery::accept(&mut st.ledger, m.from.index(), rid, &mut st.rep.tally)
+            });
         }
-        if !shared.trivial && shared.faults.reorder {
-            shared.faults.shuffle(r, i, &mut inbox);
-        }
-        let view = LocalView {
-            me,
-            round: r,
-            role: ctx.hierarchy.role(me),
-            cluster: ctx.hierarchy.cluster_of(me),
-            head: ctx.hierarchy.head_of(me),
-            parent: ctx.hierarchy.parent_of(me),
-            neighbors: ctx.csr.neighbors(me),
-        };
+        shared.faults.shuffle(r, i, &mut inbox);
+        let view = local_view(me, r, &ctx.hierarchy, &ctx.csr);
         p.receive(&view, &inbox);
         if !st.informed && !inbox.is_empty() && shared.universe.is_subset(p.known()) {
             st.informed = true;
@@ -1564,8 +1043,9 @@ fn step_recv<P: Protocol>(
     let fin = p.finished();
     st.rep.finished += i64::from(fin) - i64::from(st.finished);
     st.finished = fin;
+    st.delays_due.retain(|&due| due > r);
     let inflight_now =
-        st.held.len() as i64 + st.window.as_ref().map_or(0, |w| w.in_flight() as i64);
+        st.delays_due.len() as i64 + st.window.as_ref().map_or(0, |w| w.in_flight() as i64);
     st.rep.inflight = inflight_now - st.last_inflight;
     st.last_inflight = inflight_now;
 
@@ -1583,41 +1063,16 @@ fn step_recv<P: Protocol>(
     }
 }
 
-/// Emit one buffered event through the tracer.
-fn replay(tracer: &mut Tracer, r: u64, node: u64, e: &BufEvt) {
-    match *e {
-        BufEvt::Broadcast {
-            token,
-            cost,
-            role,
-            bytes,
-        } => tracer.head_broadcast(r, node, token, cost, role, bytes),
-        BufEvt::Push {
-            token,
-            cost,
-            role,
-            to,
-            bytes,
-        } => tracer.token_push(r, node, token, cost, role, to, bytes),
-        BufEvt::Retransmit { cost, dst } => tracer.retransmit(r, node, cost, dst),
-        BufEvt::Fault { to, kind } => tracer.fault_injected(r, node, Some(to), kind),
-        BufEvt::Delayed { to, rounds } => tracer.delayed(r, node, to, rounds),
-        BufEvt::Duplicated { to } => tracer.duplicated(r, node, to),
-        BufEvt::RetransmitTimeout { to, attempt } => {
-            tracer.retransmit_timeout(r, node, to, attempt)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{Engine, ExecMode, RunConfig};
-    use crate::protocol::{Incoming, Outgoing};
+    use crate::protocol::{Incoming, LocalView, Outgoing};
     use crate::token::round_robin_assignment;
     use hinet_cluster::ctvg::{CtvgTrace, CtvgTraceProvider};
     use hinet_cluster::hierarchy::single_cluster;
     use hinet_graph::trace::TvgTrace;
+    use hinet_graph::Graph;
     use hinet_rt::obs::ObsConfig;
 
     /// The plain flooding protocol from the engine tests: broadcast

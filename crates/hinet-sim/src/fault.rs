@@ -26,13 +26,21 @@
 //!   ranges for a span of rounds.
 //! * **Delay** — each surviving delivery is independently held back for
 //!   `1..=max_delay` rounds with probability [`FaultPlan::delay_ppm`]; the
-//!   held rounds are part of the hash stream, so replays are exact.
+//!   held rounds are part of the hash stream, so replays are exact. The
+//!   receiver files a delayed delivery for its due round and loses it only
+//!   if it is down then.
 //! * **Duplication** — each surviving delivery is independently cloned with
 //!   probability [`FaultPlan::dup_ppm`]; the receive plane deduplicates and
 //!   counts the discards.
 //! * **Reorder** — when [`FaultPlan::reorder`] is set, every node's
 //!   per-round inbox is permuted by a seeded Fisher–Yates shuffle before
 //!   the protocol sees it.
+//!
+//! This module only *decides*. The per-delivery decisions
+//! ([`FaultPlan::partitioned`], [`FaultPlan::drops_message`],
+//! [`FaultPlan::delay_of`], [`FaultPlan::duplicates`]) are applied by one
+//! gate chain in [`crate::delivery`], which every executor shares;
+//! crashes are applied by the engine's round-context builder.
 //!
 //! ```
 //! use hinet_sim::fault::FaultPlan;

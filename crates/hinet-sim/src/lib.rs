@@ -47,6 +47,7 @@
 // must be documented.
 #![warn(missing_docs)]
 
+pub mod delivery;
 pub mod engine;
 mod event;
 pub mod fault;

@@ -40,6 +40,16 @@ pub enum Destination {
     Unicast(NodeId),
 }
 
+impl Destination {
+    /// The unicast target, `None` for a broadcast.
+    pub fn target(&self) -> Option<NodeId> {
+        match *self {
+            Destination::Broadcast => None,
+            Destination::Unicast(v) => Some(v),
+        }
+    }
+}
+
 /// A message payload: either a single token (the per-round selections of
 /// Algorithm 1 and KLO) or a whole token set (Algorithm 2's `broadcast
 /// TA`, flooding).

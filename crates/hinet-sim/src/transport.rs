@@ -97,12 +97,12 @@ pub type Notifier = Arc<dyn Fn(usize) + Send + Sync>;
 /// * after an envelope becomes drainable the registered [`Notifier`] is
 ///   invoked with the destination node, so a parked worker can wake;
 /// * the transport itself never drops, duplicates or reorders-within-link —
-///   loss/partition/delay/duplication faults are injected by the engine
-///   *around* `send` (dropped envelopes are never sent, delayed ones are
-///   held at the sender and re-sent later, duplicated ones are sent twice),
-///   so fault semantics are identical in both execution modes and the
-///   receive plane ([`RoundBuffer`]) defensively deduplicates whatever a
-///   real backend might replay.
+///   loss/partition/delay/duplication faults are injected by the
+///   [`crate::delivery`] plane *around* `send` (dropped envelopes are never
+///   sent, delayed ones are sent at once but tagged for their due round,
+///   duplicated ones are sent twice), so fault semantics are identical in
+///   both execution modes and the receive plane ([`RoundBuffer`])
+///   defensively deduplicates whatever a real backend might replay.
 pub trait Transport: Send + Sync {
     /// Queue `env` for its destination node.
     fn send(&self, env: Envelope);

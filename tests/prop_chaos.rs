@@ -14,11 +14,17 @@
 //! `--fault-seed`, in both modes; (d) duplicates never double-count:
 //! a duplication-only plan is discarded copy-for-copy at the receivers,
 //! and the protocol-visible run — completion, token/packet totals, every
-//! non-bookkeeping event — is identical to the clean run.
+//! non-bookkeeping event — is identical to the clean run; (e) lock-step
+//! and event mode write the same deterministic trace under loss, delay,
+//! duplication and reorder, at any worker count — one delivery plane, one
+//! delay rule.
 
+use hinet::core::runner::run_algorithm;
 use hinet::rt::check::check;
 use hinet::rt::obs::{Event, ObsConfig, ParsedTrace, Tracer};
 use hinet::scenario::{Scenario, ScenarioReport};
+use hinet::sim::engine::RunConfig;
+use hinet::sim::token::round_robin_assignment;
 use hinet_sim::ExecMode;
 
 fn scenario(algorithm: &str, dynamics: &str, n: usize, k: usize, seed: u64) -> Scenario {
@@ -249,4 +255,62 @@ fn duplicates_never_double_count() {
              event streams must match"
         );
     });
+}
+
+/// Run an engine scenario in `mode` on exactly `threads` workers and parse
+/// its trace.
+fn trace_in(sc: &Scenario, mode: ExecMode, threads: usize) -> ParsedTrace {
+    let kind = sc.kind().expect("engine algorithm");
+    let mut provider = sc.provider(&kind).expect("provider");
+    let mut tracer = Tracer::new(ObsConfig::full());
+    run_algorithm(
+        &kind,
+        provider.as_mut(),
+        &round_robin_assignment(sc.n, sc.k),
+        RunConfig::new()
+            .max_rounds(sc.budget)
+            .faults(sc.fault_plan())
+            .mode(mode)
+            .threads(threads)
+            .tracer(&mut tracer),
+    );
+    ParsedTrace::parse_jsonl(&tracer.to_jsonl()).expect("trace parses")
+}
+
+/// (e) Lock-step and event mode share one delivery plane: under loss,
+/// delay, duplication and reorder with the reliability layer off, every
+/// event line and the header counters are identical between the modes,
+/// with event mode on 1, 2 and 8 workers. Exhaustive over the case grid —
+/// delayed envelopes whose edge vanishes before they mature are exactly
+/// the cases a per-mode delay rule gets wrong.
+#[test]
+fn lockstep_and_event_traces_agree_under_chaos() {
+    for (algorithm, dynamics) in [
+        ("alg1", "hinet"),
+        ("alg2", "hinet"),
+        ("klo-flood", "flat-1"),
+    ] {
+        for seed in [1u64, 5, 9] {
+            for fault_seed in [2u64, 7, 19] {
+                let sc = Scenario {
+                    reliable: false,
+                    ..chaotic(
+                        scenario(algorithm, dynamics, 18, 3, seed),
+                        fault_seed,
+                        ExecMode::Lockstep,
+                    )
+                };
+                let lock = trace_in(&sc, ExecMode::Lockstep, 1);
+                for threads in [1, 2, 8] {
+                    let event = trace_in(&sc, ExecMode::Event, threads);
+                    let case = format!(
+                        "{algorithm} on {dynamics} (seed={seed}, fault_seed={fault_seed}, \
+                         threads={threads})"
+                    );
+                    assert_eq!(event.counters, lock.counters, "{case}: header counters");
+                    assert_eq!(event.events, lock.events, "{case}: event stream");
+                }
+            }
+        }
+    }
 }
