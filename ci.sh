@@ -19,6 +19,20 @@ if [[ "${1:-}" == "--update-golden" ]]; then
 fi
 
 cargo fmt --check
+
+# Single-plane gate: the fault plane's per-delivery decisions are consulted
+# only by the gate chain in hinet_sim::delivery (and defined in
+# hinet_sim::fault). An executor calling them directly is a second copy of
+# the delivery plane.
+plane_calls="$(grep -rnE --include='*.rs' \
+    '\b(partitioned|drops_message|delay_of|duplicates)\(' src crates tests examples \
+    | grep -vE '^crates/hinet-sim/src/(fault|delivery)\.rs:' || true)"
+if [[ -n "$plane_calls" ]]; then
+    echo "single-plane gate: fault-plane delivery decisions called outside hinet_sim::delivery:" >&2
+    echo "$plane_calls" >&2
+    exit 1
+fi
+
 cargo build --release --offline --workspace
 cargo test -q --offline
 
