@@ -77,10 +77,10 @@ impl RlncReport {
 ///   (see [`RlncReport::total_bytes`]).
 /// * **faults** ([`RunConfig::faults`]) — every delivery passes the same
 ///   [`hinet_sim::delivery::Plane`] as the lock-step engine. Per-delivery
-///   loss and partition cuts suppress basis inserts at the receiver (the sender still pays
-///   for the packet), and crashed nodes go silent for `down_rounds`
-///   rounds, losing their accumulated basis unless the plan declares
-///   tokens durable. The dissemination RNG streams are never consulted by
+///   loss and partition cuts suppress basis inserts at the receiver (the
+///   sender still pays for the packet), and crashed nodes go silent for
+///   `down_rounds` rounds, losing their accumulated basis unless the plan
+///   declares tokens durable. The dissemination RNG streams are never consulted by
 ///   the fault plane, so a trivial plan is byte-identical to a plain run.
 ///   RLNC is flat, so `target_heads` never matches a hazard crash here;
 ///   scheduled [`hinet_sim::fault::FaultPlan::with_crash_at`] entries
@@ -91,10 +91,10 @@ impl RlncReport {
 ///   shuffles each receiver's per-round insert order (a span-preserving
 ///   permutation).
 /// * **reliability** ([`RunConfig::reliable`]) — each delivery registers
-///   in a per-sender [`hinet_sim::reliable::SenderWindow`]; unacked packets retransmit on the
-///   backed-off timer (each re-send pays one packet), receivers dedup by
-///   reliable id, and acks apply at the round barrier exactly like the
-///   lock-step engine. Active only alongside a non-trivial fault plan.
+///   in a per-sender [`hinet_sim::reliable::SenderWindow`]; unacked
+///   packets retransmit on the backed-off timer (each re-send pays one
+///   packet), receivers dedup by reliable id, and acks apply at the round
+///   barrier exactly like the lock-step engine. Active only alongside a non-trivial fault plan.
 pub fn run_rlnc(
     provider: &mut dyn TopologyProvider,
     assignment: &[Vec<TokenId>],

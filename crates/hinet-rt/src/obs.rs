@@ -428,8 +428,7 @@ pub struct Counters {
     /// Stall-watchdog per-node snapshots taken when a run halted.
     pub stall_probes: u64,
     /// Duplicate envelopes discarded by the receive plane (a gauge fed via
-    /// [`Tracer::note_dedup`], like the event-runtime gauges — it has no
-    /// event of its own).
+    /// [`Tracer::note_dedup`] — it has no event of its own).
     pub dups_discarded: u64,
 }
 
@@ -855,8 +854,9 @@ impl Tracer {
     }
 
     /// Record the receive plane's duplicate-discard gauge into the
-    /// counters. Called once at the end of a run; chaos-free runs never call it with a nonzero value, so their
-    /// artifacts are unchanged.
+    /// counters. Called once at the end of an RLNC run; chaos-free runs
+    /// never call it with a nonzero value, so their artifacts are
+    /// unchanged.
     pub fn note_dedup(&mut self, dups_discarded: u64) {
         if !self.enabled() {
             return;
