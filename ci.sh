@@ -176,23 +176,33 @@ test -s target/ci-delivery/BENCH_sweep_chaos.json
     --baseline target/ci-delivery/BENCH_sweep_chaos.json --max-regress 10000 >/dev/null
 echo "delivery smoke: OK"
 
-# Event-runtime smoke: a seeded event-mode run must produce the same
-# dissemination result as the lock-step engine — identical trace behaviour
-# (the headers differ only by the `mode` meta stamp,
-# hence --ignore meta), wall-clock metrics reported, and the sweep_async
-# suite must emit its JSON artifact and gate against itself.
+# Event-runtime smoke: seeded event-mode runs — a clean alg2 run and an
+# alg1 run under loss, delay, duplication and reorder — must produce the
+# same dissemination result as the lock-step engine: identical trace
+# behaviour (the headers differ only by the `mode` meta stamp, hence
+# --ignore meta). The chaotic pair leaves out --reliable: ack timing
+# legitimately differs between the modes. Wall-clock metrics must be
+# reported, and the sweep_async suite must emit its JSON artifact and
+# gate against itself.
 rm -rf target/ci-event
-./target/release/hinet trace --algorithm alg2 --n 32 --k 4 --seed 5 \
-    --out target/ci-event/lockstep.jsonl >/dev/null
-./target/release/hinet trace --algorithm alg2 --n 32 --k 4 --seed 5 \
-    --mode event --out target/ci-event/event.jsonl >/dev/null
-./target/release/hinet trace --diff target/ci-event/lockstep.jsonl \
-    target/ci-event/event.jsonl --ignore meta >/dev/null || {
-    echo "event smoke: event-mode run diverged from lock-step" >&2
-    ./target/release/hinet trace --diff target/ci-event/lockstep.jsonl \
-        target/ci-event/event.jsonl --ignore meta >&2 || true
-    exit 1
+event_pair() {
+    local name="$1"
+    shift
+    ./target/release/hinet trace "$@" \
+        --out "target/ci-event/$name-lockstep.jsonl" >/dev/null
+    ./target/release/hinet trace "$@" --mode event \
+        --out "target/ci-event/$name-event.jsonl" >/dev/null
+    ./target/release/hinet trace --diff "target/ci-event/$name-lockstep.jsonl" \
+        "target/ci-event/$name-event.jsonl" --ignore meta >/dev/null || {
+        echo "event smoke: $name event-mode run diverged from lock-step" >&2
+        ./target/release/hinet trace --diff "target/ci-event/$name-lockstep.jsonl" \
+            "target/ci-event/$name-event.jsonl" --ignore meta >&2 || true
+        exit 1
+    }
 }
+event_pair clean --algorithm alg2 --n 32 --k 4 --seed 5
+event_pair chaos --algorithm alg1 --n 60 --k 8 --seed 5 --fault-seed 9 \
+    --loss 0.05 --delay 0.03 --max-delay 3 --dup 0.02 --reorder
 ./target/release/hinet run --algorithm klo-flood --n 32 --k 4 --seed 5 \
     --mode event >target/ci-event/klo.txt
 grep -q 'completed: true' target/ci-event/klo.txt || {

@@ -185,32 +185,47 @@ impl Oracle {
 
 /// Per-shard wakeup latch: workers park on it when their shard has no
 /// runnable node; the transport notifier and stop changes ring it.
+///
+/// The epoch and the sleeper count are atomics in a SeqCst Dekker pairing:
+/// `ring` bumps the epoch, then reads the sleeper count; `wait` raises the
+/// count, then re-reads the epoch. At least one side sees the other, so a
+/// ring that lands while a worker parks either stops the park or finds
+/// the sleeper and notifies under the lock. A ring with nobody parked is
+/// two atomic operations and no syscall.
 struct Doorbell {
-    epoch: Mutex<u64>,
+    epoch: AtomicU64,
+    sleepers: AtomicUsize,
+    lock: Mutex<()>,
     cv: Condvar,
 }
 
 impl Doorbell {
     fn new() -> Doorbell {
         Doorbell {
-            epoch: Mutex::new(0),
+            epoch: AtomicU64::new(0),
+            sleepers: AtomicUsize::new(0),
+            lock: Mutex::new(()),
             cv: Condvar::new(),
         }
     }
 
     fn epoch(&self) -> u64 {
-        *self.epoch.lock().expect("doorbell lock")
+        self.epoch.load(Ordering::SeqCst)
     }
 
     fn ring(&self) {
-        *self.epoch.lock().expect("doorbell lock") += 1;
-        self.cv.notify_all();
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            let _g = self.lock.lock().expect("doorbell lock");
+            self.cv.notify_all();
+        }
     }
 
     /// Park until the epoch moves past `seen` or the timeout elapses.
     fn wait(&self, seen: u64) {
-        let mut g = self.epoch.lock().expect("doorbell lock");
-        while *g == seen {
+        let mut g = self.lock.lock().expect("doorbell lock");
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        while self.epoch.load(Ordering::SeqCst) == seen {
             let (next, res) = self
                 .cv
                 .wait_timeout(g, PARK_TIMEOUT)
@@ -220,6 +235,33 @@ impl Doorbell {
                 break;
             }
         }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// The notifier's half of the wake rule: one "has mail" flag per node and
+/// one doorbell per shard. A sweep visits a node that is waiting on its
+/// quorum only when its flag is up, so idle nodes cost one atomic swap.
+/// The flag's Release store, made after the envelope is in the mailbox,
+/// pairs with the Acquire swap before a drain: a drain that took the flag
+/// sees the mail.
+struct Wake {
+    shard_size: usize,
+    mail: Vec<AtomicBool>,
+    doorbells: Vec<Doorbell>,
+}
+
+impl Wake {
+    /// Mail landed for `node`: raise its flag, then ring its shard.
+    fn notify(&self, node: usize) {
+        self.mail[node].store(true, Ordering::Release);
+        self.doorbells[node / self.shard_size].ring();
+    }
+
+    /// Lower `node`'s flag, returning whether it was up. Taken before each
+    /// drain, so mail that lands after the drain raises it again.
+    fn take_mail(&self, node: usize) -> bool {
+        self.mail[node].swap(false, Ordering::AcqRel)
     }
 }
 
@@ -274,7 +316,7 @@ struct Shared<'a> {
     server: Mutex<Builder<'a>>,
     oracle: Mutex<Oracle>,
     transport: ChannelTransport,
-    doorbells: Arc<Vec<Doorbell>>,
+    wake: Arc<Wake>,
     stop_after: AtomicUsize,
     abort: AtomicBool,
     node_round: Vec<AtomicUsize>,
@@ -358,7 +400,7 @@ impl Shared<'_> {
     }
 
     fn ring_all(&self) {
-        for d in self.doorbells.iter() {
+        for d in &self.wake.doorbells {
             d.ring();
         }
     }
@@ -434,15 +476,17 @@ pub(crate) fn run<P: Protocol + Send>(
     }
 
     let shard_size = n.div_ceil(threads);
-    let doorbells: Arc<Vec<Doorbell>> = Arc::new(
-        (0..n.div_ceil(shard_size))
+    let wake = Arc::new(Wake {
+        shard_size,
+        mail: (0..n).map(|_| AtomicBool::new(false)).collect(),
+        doorbells: (0..n.div_ceil(shard_size))
             .map(|_| Doorbell::new())
             .collect(),
-    );
+    });
     let transport = ChannelTransport::new(n);
     {
-        let doorbells = Arc::clone(&doorbells);
-        transport.set_notifier(Arc::new(move |node| doorbells[node / shard_size].ring()));
+        let wake = Arc::clone(&wake);
+        transport.set_notifier(Arc::new(move |node| wake.notify(node)));
     }
 
     let shared = Shared {
@@ -468,7 +512,7 @@ pub(crate) fn run<P: Protocol + Send>(
             inflight: 0,
         }),
         transport,
-        doorbells: Arc::clone(&doorbells),
+        wake,
         stop_after: AtomicUsize::new(cfg.max_rounds - 1),
         abort: AtomicBool::new(false),
         node_round: (0..n).map(|_| AtomicUsize::new(0)).collect(),
@@ -724,7 +768,15 @@ pub(crate) fn run<P: Protocol + Send>(
 /// The worker loop for one shard: repeatedly sweep the shard's nodes,
 /// stepping each as far as its quorum allows, parking on the shard
 /// doorbell when nothing moved.
+///
+/// A sweep does work only where something changed. A node that already
+/// sent for its round is waiting on its quorum, which only new mail can
+/// close, so the sweep skips it unless its mail flag is up or the stop
+/// round has moved below it. Round contexts come from a worker-local
+/// cache; the shared context server is locked only on a miss.
 fn run_shard<P: Protocol>(shared: &Shared<'_>, s: usize, shard: &mut Shard<'_, P>) {
+    let mut ctxs: BTreeMap<usize, Arc<RoundCtx>> = BTreeMap::new();
+    let doorbell = &shared.wake.doorbells[s];
     loop {
         if shared.abort.load(Ordering::SeqCst) {
             return;
@@ -733,17 +785,28 @@ fn run_shard<P: Protocol>(shared: &Shared<'_>, s: usize, shard: &mut Shard<'_, P
             record_stall(shared, shard);
             return;
         }
-        let epoch = shared.doorbells[s].epoch();
+        // Read the epoch before the stop round and the mail flags: a ring
+        // for anything this sweep misses moves it, so the park below
+        // returns at once.
+        let epoch = doorbell.epoch();
+        let stop_after = shared.stop_after.load(Ordering::SeqCst);
         let mut progressed = false;
-        let mut all_done = true;
+        // Lowest round of a node still running; `usize::MAX` once all are done.
+        let mut low = usize::MAX;
         for j in 0..shard.nodes.len() {
             let i = shard.base + j;
+            if shard.nodes[j].done {
+                continue;
+            }
+            let mut mail = shared.wake.take_mail(i);
+            let st = &shard.nodes[j];
+            if st.sent && !mail && st.round <= stop_after {
+                low = low.min(st.round);
+                continue;
+            }
             loop {
                 if shared.abort.load(Ordering::SeqCst) {
                     return;
-                }
-                if shard.nodes[j].done {
-                    break;
                 }
                 let r = shard.nodes[j].round;
                 if r > shared.stop_after.load(Ordering::SeqCst) {
@@ -751,13 +814,13 @@ fn run_shard<P: Protocol>(shared: &Shared<'_>, s: usize, shard: &mut Shard<'_, P
                     progressed = true;
                     break;
                 }
-                let ctx = shared.ctx(r);
+                let ctx: &RoundCtx = ctxs.entry(r).or_insert_with(|| shared.ctx(r));
                 if !shard.nodes[j].sent {
                     step_send(
                         shared,
                         i,
                         r,
-                        &ctx,
+                        ctx,
                         &mut shard.protocols[j],
                         &mut shard.nodes[j],
                     );
@@ -765,9 +828,12 @@ fn run_shard<P: Protocol>(shared: &Shared<'_>, s: usize, shard: &mut Shard<'_, P
                     progressed = true;
                 }
                 let st = &mut shard.nodes[j];
-                if shared.transport.drain(i, &mut st.scratch) > 0 {
-                    for env in st.scratch.drain(..) {
-                        st.buffer.push(env);
+                if mail || shared.wake.take_mail(i) {
+                    mail = false;
+                    if shared.transport.drain(i, &mut st.scratch) > 0 {
+                        for env in st.scratch.drain(..) {
+                            st.buffer.push(env);
+                        }
                     }
                 }
                 let quorum = ctx.csr.neighbors(NodeId::from_index(i)).len();
@@ -782,7 +848,7 @@ fn run_shard<P: Protocol>(shared: &Shared<'_>, s: usize, shard: &mut Shard<'_, P
                     shared,
                     i,
                     r,
-                    &ctx,
+                    ctx,
                     &mut shard.protocols[j],
                     &mut shard.nodes[j],
                 );
@@ -793,12 +859,16 @@ fn run_shard<P: Protocol>(shared: &Shared<'_>, s: usize, shard: &mut Shard<'_, P
                 shared.node_round[i].store(st.round, Ordering::Relaxed);
                 progressed = true;
             }
-            if !shard.nodes[j].done {
-                all_done = false;
+            let st = &shard.nodes[j];
+            if !st.done {
+                low = low.min(st.round);
             }
         }
-        if all_done {
+        if low == usize::MAX {
             return;
+        }
+        while ctxs.first_key_value().is_some_and(|(&r, _)| r < low) {
+            ctxs.pop_first();
         }
         if !progressed {
             // Probe the stall watchdog before parking: if no receive step
@@ -817,7 +887,7 @@ fn run_shard<P: Protocol>(shared: &Shared<'_>, s: usize, shard: &mut Shard<'_, P
                     continue;
                 }
             }
-            shared.doorbells[s].wait(epoch);
+            doorbell.wait(epoch);
         }
     }
 }
@@ -1387,6 +1457,148 @@ mod tests {
         // plan-injected copies and redundant timer retransmits alike — so
         // under chaos it must have fired, and nothing was double-counted.
         assert!(m.dups_discarded > 0, "receivers must have discarded dups");
+    }
+
+    /// Flood on a star that forces the stop test's interleaving: each leaf
+    /// counts its send for round `hold + 1`, and the hub's receive for
+    /// round `hold` waits until every leaf has counted (or a second has
+    /// passed).
+    struct HeldFlood {
+        inner: Flood,
+        hub: bool,
+        hold: usize,
+        leaves: usize,
+        counted: Arc<(Mutex<usize>, Condvar)>,
+    }
+
+    impl Protocol for HeldFlood {
+        fn on_start(&mut self, me: NodeId, initial: &[TokenId]) {
+            self.inner.on_start(me, initial);
+        }
+        fn send(&mut self, view: &LocalView<'_>) -> Vec<Outgoing> {
+            if !self.hub && view.round == self.hold + 1 {
+                let (count, cv) = &*self.counted;
+                *count.lock().expect("count lock") += 1;
+                cv.notify_all();
+            }
+            self.inner.send(view)
+        }
+        fn receive(&mut self, view: &LocalView<'_>, inbox: &[Incoming]) {
+            if self.hub && view.round == self.hold {
+                let (count, cv) = &*self.counted;
+                let _ = cv
+                    .wait_timeout_while(
+                        count.lock().expect("count lock"),
+                        Duration::from_secs(1),
+                        |c| *c < self.leaves,
+                    )
+                    .expect("count lock");
+            }
+            self.inner.receive(view, inbox);
+        }
+        fn known(&self) -> &TokenSet {
+            self.inner.known()
+        }
+        fn on_restart(&mut self, me: NodeId, retained: &[TokenId]) {
+            self.inner.on_restart(me, retained);
+        }
+    }
+
+    #[test]
+    fn stop_releases_nodes_blocked_on_quorums_that_get_no_more_mail() {
+        // One node per shard. Flooding a star completes in round 1, and the
+        // hub's report closes it: the hub's receive holds until every leaf
+        // has sent for round 2 and so waits on the hub's round-2 marker.
+        // The hub stops instead of sending it, so the leaves get no more
+        // mail: only the moved stop round can release them. Were they left
+        // waiting, only the watchdog could end the run, a full window later
+        // (after completion, so the report would carry no stall).
+        let n = 5;
+        let stall_rounds = 500;
+        let assignment = round_robin_assignment(n, n);
+        let lock = {
+            let mut protocols: Vec<Flood> = (0..n).map(|_| Flood::new()).collect();
+            let mut provider = star_provider(n, 32);
+            Engine::new(RunConfig::new().max_rounds(16).stop_on_completion(true)).run(
+                &mut provider,
+                &mut protocols,
+                &assignment,
+            )
+        };
+        assert_eq!(lock.completion_round, Some(2));
+        let counted = Arc::new((Mutex::new(0), Condvar::new()));
+        let mut protocols: Vec<HeldFlood> = (0..n)
+            .map(|i| HeldFlood {
+                inner: Flood::new(),
+                hub: i == 0,
+                hold: 1,
+                leaves: n - 1,
+                counted: Arc::clone(&counted),
+            })
+            .collect();
+        let mut provider = star_provider(n, 32);
+        let report = Engine::new(
+            RunConfig::new()
+                .max_rounds(16)
+                .stop_on_completion(true)
+                .threads(n)
+                .mode(ExecMode::Event)
+                .stall_rounds(stall_rounds),
+        )
+        .run(&mut provider, &mut protocols, &assignment);
+        assert_eq!(
+            *counted.0.lock().expect("count lock"),
+            n - 1,
+            "every leaf sent for the round past the stop"
+        );
+        assert!(report.completed(), "{:?}", report.outcome);
+        assert!(report.stall.is_none(), "the watchdog must stay quiet");
+        let window = PARK_TIMEOUT * stall_rounds as u32;
+        assert!(
+            Duration::from_nanos(report.wall.elapsed_ns) < window,
+            "the run must return before the watchdog window ends, took {:?}",
+            Duration::from_nanos(report.wall.elapsed_ns)
+        );
+        assert_eq!(report.completion_round, lock.completion_round);
+        assert_eq!(report.rounds_executed, lock.rounds_executed);
+        assert_eq!(report.metrics.tokens_sent, lock.metrics.tokens_sent);
+    }
+
+    #[test]
+    fn doorbell_ring_before_the_park_returns_at_once() {
+        let d = Doorbell::new();
+        let seen = d.epoch();
+        d.ring();
+        let t0 = Instant::now();
+        d.wait(seen);
+        assert!(
+            t0.elapsed() < PARK_TIMEOUT / 2,
+            "a ring between epoch() and wait() must not park: {:?}",
+            t0.elapsed()
+        );
+    }
+
+    #[test]
+    fn doorbell_ring_wakes_a_parked_waiter() {
+        // A lost wakeup costs the full PARK_TIMEOUT; a slow scheduler can
+        // cost that too, so one quick wake out of a few tries passes.
+        let woke_quickly = (0..5).any(|_| {
+            let d = Doorbell::new();
+            std::thread::scope(|s| {
+                let waiter = s.spawn(|| {
+                    let seen = d.epoch();
+                    let t0 = Instant::now();
+                    d.wait(seen);
+                    t0.elapsed()
+                });
+                while d.sleepers.load(Ordering::SeqCst) == 0 {
+                    std::thread::yield_now();
+                }
+                d.ring();
+                waiter.join().expect("waiter thread") < PARK_TIMEOUT
+            })
+        });
+        assert!(woke_quickly, "ring must wake a parked waiter");
     }
 
     #[test]

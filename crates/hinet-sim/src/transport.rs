@@ -27,7 +27,7 @@ use crate::protocol::{Incoming, Payload};
 use hinet_graph::graph::NodeId;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// What an [`Envelope`] carries.
 #[derive(Clone, Debug)]
@@ -112,6 +112,7 @@ pub trait Transport: Send + Sync {
     fn drain(&self, node: usize, into: &mut Vec<Envelope>) -> usize;
 
     /// Register the wakeup hook invoked after new mail lands for a node.
+    /// The driver calls it once, before the first send.
     fn set_notifier(&self, notify: Notifier);
 
     /// High-water mark of any single mailbox's queued-envelope count
@@ -124,9 +125,12 @@ pub trait Transport: Send + Sync {
 
 /// In-process channel backend: one lock-protected mailbox per node plus a
 /// wakeup hook — the [`Transport`] the engine's worker pool runs on.
+///
+/// The notifier is set once, before any send; [`Transport::set_notifier`]
+/// panics on a second call.
 pub struct ChannelTransport {
     boxes: Vec<Mutex<Vec<Envelope>>>,
-    notify: RwLock<Option<Notifier>>,
+    notify: OnceLock<Notifier>,
     depth_max: AtomicUsize,
 }
 
@@ -135,7 +139,7 @@ impl ChannelTransport {
     pub fn new(n: usize) -> ChannelTransport {
         ChannelTransport {
             boxes: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-            notify: RwLock::new(None),
+            notify: OnceLock::new(),
             depth_max: AtomicUsize::new(0),
         }
     }
@@ -150,7 +154,7 @@ impl Transport for ChannelTransport {
             mailbox.len()
         };
         self.depth_max.fetch_max(depth, Ordering::Relaxed);
-        if let Some(notify) = self.notify.read().expect("notifier lock").as_ref() {
+        if let Some(notify) = self.notify.get() {
             notify(to);
         }
     }
@@ -163,7 +167,9 @@ impl Transport for ChannelTransport {
     }
 
     fn set_notifier(&self, notify: Notifier) {
-        *self.notify.write().expect("notifier lock") = Some(notify);
+        if self.notify.set(notify).is_err() {
+            panic!("ChannelTransport::set_notifier called twice: the notifier is set once");
+        }
     }
 
     fn max_depth(&self) -> usize {
@@ -512,5 +518,13 @@ mod tests {
         assert_eq!(t.drain(0, &mut got), 0, "drain empties the mailbox");
         assert_eq!(got.len(), 2);
         assert_eq!(t.max_depth(), 2, "high-water mark before the drain");
+    }
+
+    #[test]
+    #[should_panic(expected = "set_notifier called twice")]
+    fn channel_transport_notifier_is_set_once() {
+        let t = ChannelTransport::new(1);
+        t.set_notifier(Arc::new(|_| {}));
+        t.set_notifier(Arc::new(|_| {}));
     }
 }

@@ -17,7 +17,8 @@
 //! non-bookkeeping event — is identical to the clean run; (e) lock-step
 //! and event mode write the same deterministic trace under loss, delay,
 //! duplication and reorder, at any worker count — one delivery plane, one
-//! delay rule.
+//! delay rule; with one node per worker (every quorum closes through a
+//! wake from another worker) the trace bytes are lock-step's.
 
 use hinet::core::runner::run_algorithm;
 use hinet::rt::check::check;
@@ -260,6 +261,12 @@ fn duplicates_never_double_count() {
 /// Run an engine scenario in `mode` on exactly `threads` workers and parse
 /// its trace.
 fn trace_in(sc: &Scenario, mode: ExecMode, threads: usize) -> ParsedTrace {
+    ParsedTrace::parse_jsonl(&jsonl_in(sc, mode, threads)).expect("trace parses")
+}
+
+/// Run an engine scenario in `mode` on exactly `threads` workers and
+/// serialise its trace.
+fn jsonl_in(sc: &Scenario, mode: ExecMode, threads: usize) -> String {
     let kind = sc.kind().expect("engine algorithm");
     let mut provider = sc.provider(&kind).expect("provider");
     let mut tracer = Tracer::new(ObsConfig::full());
@@ -274,7 +281,7 @@ fn trace_in(sc: &Scenario, mode: ExecMode, threads: usize) -> ParsedTrace {
             .threads(threads)
             .tracer(&mut tracer),
     );
-    ParsedTrace::parse_jsonl(&tracer.to_jsonl()).expect("trace parses")
+    tracer.to_jsonl()
 }
 
 /// (e) Lock-step and event mode share one delivery plane: under loss,
@@ -311,6 +318,39 @@ fn lockstep_and_event_traces_agree_under_chaos() {
                     assert_eq!(event.events, lock.events, "{case}: event stream");
                 }
             }
+        }
+    }
+}
+
+/// (e) With one node per worker, every quorum closes through a mail flag
+/// raised and a doorbell rung by another worker, so a lost wake or a node
+/// wrongly skipped would stall or reorder the run. Under loss, delay,
+/// duplication and reorder the event-mode trace is lock-step's byte for
+/// byte, once the header's `mode` meta stamp is taken out.
+#[test]
+fn one_node_per_worker_event_trace_bytes_match_lockstep() {
+    let n = 12;
+    for (algorithm, dynamics) in [("alg1", "hinet"), ("klo-flood", "flat-1")] {
+        for (seed, fault_seed) in [(1u64, 2u64), (5, 9)] {
+            let sc = Scenario {
+                reliable: false,
+                ..chaotic(
+                    scenario(algorithm, dynamics, n, 3, seed),
+                    fault_seed,
+                    ExecMode::Lockstep,
+                )
+            };
+            let lock = jsonl_in(&sc, ExecMode::Lockstep, 1);
+            let event = jsonl_in(&sc, ExecMode::Event, n);
+            assert!(
+                event.contains(r#","mode":"event""#),
+                "event header carries its mode stamp"
+            );
+            assert_eq!(
+                event.replacen(r#","mode":"event""#, "", 1),
+                lock,
+                "{algorithm} on {dynamics} (seed={seed}, fault_seed={fault_seed})"
+            );
         }
     }
 }
