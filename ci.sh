@@ -34,7 +34,8 @@ if [[ -n "$plane_calls" ]]; then
 fi
 
 cargo build --release --offline --workspace
-cargo test -q --offline
+# Every workspace crate's tests, not only the root package's.
+cargo test -q --offline --workspace
 
 # Docs gate: every public item is documented (hinet-rt denies missing docs),
 # no intra-doc link is broken, and every doc example compiles and runs.

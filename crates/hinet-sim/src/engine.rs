@@ -1450,7 +1450,7 @@ pub(crate) fn record_message(metrics: &mut Metrics, cap: usize, record: MessageR
 
 /// `k` minus the number of tokens every node knows: the universe minus
 /// the intersection of all known sets (a word-parallel fold instead of a
-/// k × n membership scan).
+/// k × n membership scan), stopping once the intersection is empty.
 pub(crate) fn missing_tokens<'p, P: Protocol + 'p>(
     universe: &TokenSet,
     protocols: impl IntoIterator<Item = &'p P>,
@@ -1460,8 +1460,7 @@ pub(crate) fn missing_tokens<'p, P: Protocol + 'p>(
         if everywhere.is_empty() {
             break;
         }
-        let known = p.known();
-        everywhere = everywhere.iter().filter(|t| known.contains(t)).collect();
+        everywhere.intersect_with(p.known());
     }
     universe.len() - everywhere.len()
 }
@@ -1544,6 +1543,54 @@ mod tests {
         assert_eq!(report.completion_round, Some(2));
         assert!(report.completed());
         assert_eq!(report.k, 5);
+    }
+
+    /// Copy-on-write token sets: after the hub's full broadcast, every leaf
+    /// reads the one frozen copy of it rather than holding its own words.
+    #[test]
+    fn star_leaves_share_the_hubs_broadcast_instead_of_copying_it() {
+        let n = 1000;
+        let mut provider = star_provider(n, 10);
+        let mut protocols: Vec<Flood> = (0..n).map(|_| Flood::new()).collect();
+        let assignment = round_robin_assignment(n, 64);
+        let report = Engine::with_defaults().run(&mut provider, &mut protocols, &assignment);
+        assert!(report.completed());
+        let (hub, leaves) = protocols.split_first().unwrap();
+        assert_eq!(hub.ta, crate::token::universe(64));
+        for (i, leaf) in leaves.iter().enumerate() {
+            assert_eq!(leaf.ta, hub.ta);
+            assert!(
+                leaf.ta.shares_words(&leaves[0].ta),
+                "leaf {} holds its own copy of the hub's set",
+                i + 1
+            );
+        }
+    }
+
+    #[test]
+    fn missing_tokens_matches_the_per_token_definition() {
+        use hinet_rt::rng::Rng;
+        hinet_rt::check::check("missing_tokens_matches_the_per_token_definition", 64, |c| {
+            let k = *c.pick(&[1usize, 63, 64, 65, 130, 1000]);
+            let universe = crate::token::universe(k);
+            let fill = *c.pick(&[0.5, 0.95, 1.0]);
+            let nodes = c.random_range(1..6usize);
+            let protocols: Vec<Flood> = (0..nodes)
+                .map(|_| {
+                    let ta: TokenSet = (0..k as u64)
+                        .filter(|_| c.random_bool(fill))
+                        .map(TokenId)
+                        .collect();
+                    let ta = if c.random_bool(0.5) { ta.frozen() } else { ta };
+                    Flood { ta }
+                })
+                .collect();
+            let expect = universe
+                .iter()
+                .filter(|t| !protocols.iter().all(|p| p.ta.contains(t)))
+                .count();
+            assert_eq!(missing_tokens(&universe, protocols.iter()), expect);
+        });
     }
 
     #[test]

@@ -56,7 +56,9 @@ impl Destination {
 ///
 /// Single-token pushes carry the id inline — no allocation per message.
 /// Set payloads are `Arc`-shared: a broadcast delivered to a thousand
-/// neighbors clones a refcount, not a bitset.
+/// neighbors clones a refcount, not a bitset. Their words are frozen
+/// (shared), so a receiver whose set is a subset of the payload adopts
+/// those words instead of copying them (see [`TokenSet::union_with`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Payload {
     /// Exactly one token.
@@ -156,11 +158,12 @@ impl Outgoing {
         }
     }
 
-    /// Broadcast a whole token set (Algorithm 2's `broadcast TA`).
+    /// Broadcast a whole token set (Algorithm 2's `broadcast TA`). The
+    /// payload holds a frozen copy of `ts` that its receivers may adopt.
     pub fn broadcast_set(ts: &TokenSet) -> Self {
         Outgoing {
             dest: Destination::Broadcast,
-            payload: Payload::Set(Arc::new(ts.clone())),
+            payload: Payload::Set(Arc::new(ts.frozen())),
             retransmit: false,
         }
     }
@@ -174,11 +177,11 @@ impl Outgoing {
         }
     }
 
-    /// Unicast a whole token set to `to`.
+    /// Unicast a whole token set to `to`, as a frozen copy of `ts`.
     pub fn unicast_set(to: NodeId, ts: &TokenSet) -> Self {
         Outgoing {
             dest: Destination::Unicast(to),
-            payload: Payload::Set(Arc::new(ts.clone())),
+            payload: Payload::Set(Arc::new(ts.frozen())),
             retransmit: false,
         }
     }

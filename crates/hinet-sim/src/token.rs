@@ -11,8 +11,33 @@
 //! of ordered-tree walks. At the million-node scale this is the difference
 //! between seconds and hours: a `k = 10^4` set is 157 words (1250 bytes),
 //! scanned at memory bandwidth.
+//!
+//! # Copy-on-write storage
+//!
+//! A [`TokenSet`] holds its words in one of two forms: **owned** (a
+//! `Vec<u64>` the set may write in place) or **shared** (a frozen
+//! `Arc<[u64]>` that several sets read). Set payloads are frozen when they
+//! are sent ([`Outgoing::broadcast_set`](crate::protocol::Outgoing::broadcast_set)),
+//! and [`TokenSet::union_with`] *adopts* a shared operand — an `Arc` clone
+//! instead of a word-wise `OR` — whenever the result would equal it: the
+//! receiver is empty, or it is a subset of the operand. Algorithm 2's heads
+//! and the flooding baselines broadcast their whole `TA`, so after one hop
+//! most receivers hold the same set, and a star's leaves all end up
+//! reading the hub's one frozen copy. Memory therefore scales with the
+//! number of *distinct* sets in flight, not with the number of nodes.
+//!
+//! Copies happen only on writes: [`TokenSet::insert`] or a non-adopting
+//! [`TokenSet::union_with`] on a shared set first copies its words into an
+//! owned `Vec` (and [`TokenSet::clear`] just drops the reference).
+//! Cloning an owned set is still a deep copy (cloning a shared one bumps
+//! its refcount), so a protocol that clones its own `TA` never starts
+//! sharing by accident. Sets built only from one-token pushes
+//! (Algorithm 1, KLO's phased mode) stay owned throughout: they never copy
+//! or touch a refcount, and pay only a branch-free select of the storage
+//! form once per call.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Unique, totally ordered token identifier.
 ///
@@ -35,17 +60,44 @@ impl fmt::Display for TokenId {
     }
 }
 
+/// The two storage forms of a [`TokenSet`]'s bitset words.
+#[derive(Clone)]
+enum Words {
+    /// Words this set alone may write in place.
+    Owned(Vec<u64>),
+    /// Frozen words, possibly read by other sets; copied before a write.
+    Shared(Arc<[u64]>),
+}
+
+impl Default for Words {
+    fn default() -> Self {
+        Words::Owned(Vec::new())
+    }
+}
+
+/// Word `i` of a bitset, zero beyond its allocated prefix.
+#[inline]
+fn word_at(words: &[u64], i: usize) -> u64 {
+    words.get(i).copied().unwrap_or(0)
+}
+
 /// An ordered set of tokens — the `TA`/`TS`/`TR` sets of the algorithms —
-/// packed as a fixed-width bitset (`Vec<u64>`, one bit per id).
+/// packed as a fixed-width bitset (one bit per id).
 ///
 /// The surface mirrors the ordered-set operations the algorithms need:
 /// ascending iteration, subset tests, and the word-parallel selections
 /// [`max_not_in`]/[`min_not_in`]/[`max_not_in_either`]. Word storage grows
 /// on demand; two sets with the same elements compare equal regardless of
-/// their capacities.
+/// their capacities or storage forms.
+///
+/// The words are either owned or frozen and shared (see the
+/// [module docs](self#copy-on-write-storage)): a set that receives a
+/// shared payload it is a subset of adopts the payload's words instead of
+/// copying them, and copies them back into an owned vector only when it is
+/// next written.
 #[derive(Clone, Default)]
 pub struct TokenSet {
-    words: Vec<u64>,
+    words: Words,
     len: usize,
 }
 
@@ -59,7 +111,7 @@ impl TokenSet {
     /// never reallocate mid-run.
     pub fn with_capacity(k: usize) -> Self {
         TokenSet {
-            words: vec![0; k.div_ceil(64)],
+            words: Words::Owned(vec![0; k.div_ceil(64)]),
             len: 0,
         }
     }
@@ -74,34 +126,71 @@ impl TokenSet {
         self.len == 0
     }
 
-    /// Remove every token, keeping the allocated capacity.
+    /// Remove every token, keeping owned capacity (a shared set just drops
+    /// its reference).
     pub fn clear(&mut self) {
-        self.words.fill(0);
+        match &mut self.words {
+            Words::Owned(v) => v.fill(0),
+            Words::Shared(_) => self.words = Words::default(),
+        }
         self.len = 0;
-    }
-
-    /// Word `i` of the bitset, zero beyond the allocated prefix.
-    #[inline]
-    fn word(&self, i: usize) -> u64 {
-        self.words.get(i).copied().unwrap_or(0)
     }
 
     /// The raw bitset words, for word-parallel diffing against another
     /// set without allocating.
     #[inline]
     pub(crate) fn words(&self) -> &[u64] {
-        &self.words
+        match &self.words {
+            Words::Owned(v) => v,
+            Words::Shared(s) => s,
+        }
+    }
+
+    /// The words as an owned, writable vector — copying them out of a
+    /// shared set first.
+    #[inline]
+    fn owned_words(&mut self) -> &mut Vec<u64> {
+        if let Words::Shared(s) = &self.words {
+            self.words = Words::Owned(s.to_vec());
+        }
+        match &mut self.words {
+            Words::Owned(v) => v,
+            Words::Shared(_) => unreachable!("shared words were just copied out"),
+        }
+    }
+
+    /// A frozen copy of this set, for a payload that many receivers read:
+    /// one copy of the words, or none if they are already shared.
+    pub(crate) fn frozen(&self) -> TokenSet {
+        let words = match &self.words {
+            Words::Owned(v) => Arc::from(v.as_slice()),
+            Words::Shared(s) => Arc::clone(s),
+        };
+        TokenSet {
+            words: Words::Shared(words),
+            len: self.len,
+        }
+    }
+
+    /// Whether both sets read the same shared words.
+    #[cfg(test)]
+    pub(crate) fn shares_words(&self, other: &TokenSet) -> bool {
+        match (&self.words, &other.words) {
+            (Words::Shared(a), Words::Shared(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 
     /// Insert `t`; returns `true` iff it was not already present.
     pub fn insert(&mut self, t: TokenId) -> bool {
         let (w, b) = (t.0 as usize / 64, t.0 % 64);
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
+        let words = self.owned_words();
+        if w >= words.len() {
+            words.resize(w + 1, 0);
         }
         let mask = 1u64 << b;
-        let fresh = self.words[w] & mask == 0;
-        self.words[w] |= mask;
+        let fresh = words[w] & mask == 0;
+        words[w] |= mask;
         self.len += usize::from(fresh);
         fresh
     }
@@ -109,63 +198,108 @@ impl TokenSet {
     /// Whether `t` is in the set.
     #[inline]
     pub fn contains(&self, t: &TokenId) -> bool {
-        self.word(t.0 as usize / 64) & (1u64 << (t.0 % 64)) != 0
+        word_at(self.words(), t.0 as usize / 64) & (1u64 << (t.0 % 64)) != 0
     }
 
     /// In-place union: `self ∪= other`, one `OR` per word. This is the
     /// whole-set receive path of Algorithm 2 and the flooding baselines.
+    ///
+    /// When `other` is shared and the union equals it (`self` is empty or
+    /// a subset of `other`), `self` adopts `other`'s words instead: one
+    /// read pass and a refcount bump, no write.
     pub fn union_with(&mut self, other: &TokenSet) {
-        if other.words.len() > self.words.len() {
-            self.words.resize(other.words.len(), 0);
+        let theirs = other.words();
+        if let Words::Shared(frozen) = &other.words {
+            let added = if self.len == 0 {
+                other.len
+            } else {
+                count_missing(self.words(), theirs)
+            };
+            if added == 0 {
+                return;
+            }
+            if self.len + added == other.len {
+                self.words = Words::Shared(Arc::clone(frozen));
+                self.len = other.len;
+                return;
+            }
+        }
+        let mine = self.owned_words();
+        if theirs.len() > mine.len() {
+            mine.resize(theirs.len(), 0);
         }
         let mut added = 0usize;
-        for (a, &b) in self.words.iter_mut().zip(&other.words) {
+        for (a, &b) in mine.iter_mut().zip(theirs) {
             added += (b & !*a).count_ones() as usize;
             *a |= b;
         }
         self.len += added;
     }
 
+    /// In-place intersection: `self ∩= other`, one `AND` per word.
+    pub(crate) fn intersect_with(&mut self, other: &TokenSet) {
+        let theirs = other.words();
+        let mut dropped = 0usize;
+        for (i, a) in self.owned_words().iter_mut().enumerate() {
+            let kept = *a & word_at(theirs, i);
+            dropped += (*a & !kept).count_ones() as usize;
+            *a = kept;
+        }
+        self.len -= dropped;
+    }
+
     /// Whether `self ⊆ other`, word-parallel.
     pub fn is_subset(&self, other: &TokenSet) -> bool {
-        self.words
+        let theirs = other.words();
+        self.words()
             .iter()
             .enumerate()
-            .all(|(i, &w)| w & !other.word(i) == 0)
+            .all(|(i, &w)| w & !word_at(theirs, i) == 0)
     }
 
     /// Ascending iterator over the member ids.
     pub fn iter(&self) -> Iter<'_> {
+        let words = self.words();
         Iter {
-            words: &self.words,
+            words,
             word: 0,
-            bits: self.words.first().copied().unwrap_or(0),
+            bits: words.first().copied().unwrap_or(0),
         }
     }
 
     /// The smallest member, or `None` if empty.
     pub fn min(&self) -> Option<TokenId> {
-        self.words.iter().enumerate().find_map(|(i, &w)| {
+        self.words().iter().enumerate().find_map(|(i, &w)| {
             (w != 0).then(|| TokenId((i * 64) as u64 + u64::from(w.trailing_zeros())))
         })
     }
 
     /// The largest member, or `None` if empty.
     pub fn max(&self) -> Option<TokenId> {
-        self.words.iter().enumerate().rev().find_map(|(i, &w)| {
+        self.words().iter().enumerate().rev().find_map(|(i, &w)| {
             (w != 0).then(|| TokenId((i * 64 + 63) as u64 - u64::from(w.leading_zeros())))
         })
     }
+}
+
+/// `|theirs \ mine|`, counted in one read pass.
+fn count_missing(mine: &[u64], theirs: &[u64]) -> usize {
+    theirs
+        .iter()
+        .enumerate()
+        .map(|(i, &b)| (b & !word_at(mine, i)).count_ones() as usize)
+        .sum()
 }
 
 impl PartialEq for TokenSet {
     fn eq(&self, other: &Self) -> bool {
         // Capacities may differ (e.g. after `clear`): compare the common
         // prefix and require the longer tail to be all-zero.
-        let common = self.words.len().min(other.words.len());
-        self.words[..common] == other.words[..common]
-            && self.words[common..].iter().all(|&w| w == 0)
-            && other.words[common..].iter().all(|&w| w == 0)
+        let (a, b) = (self.words(), other.words());
+        let common = a.len().min(b.len());
+        a[..common] == b[..common]
+            && a[common..].iter().all(|&w| w == 0)
+            && b[common..].iter().all(|&w| w == 0)
     }
 }
 
@@ -232,8 +366,9 @@ impl Iterator for Iter<'_> {
 /// with the maximum id among these unknown by cluster head". One
 /// `AND-NOT` + `leading_zeros` per word, scanned from the top.
 pub fn max_not_in(a: &TokenSet, b: &TokenSet) -> Option<TokenId> {
-    for i in (0..a.words.len()).rev() {
-        let w = a.words[i] & !b.word(i);
+    let (a, b) = (a.words(), b.words());
+    for i in (0..a.len()).rev() {
+        let w = a[i] & !word_at(b, i);
         if w != 0 {
             return Some(TokenId((i * 64 + 63) as u64 - u64::from(w.leading_zeros())));
         }
@@ -247,8 +382,9 @@ pub fn max_not_in(a: &TokenSet, b: &TokenSet) -> Option<TokenId> {
 /// baseline): "choose token t with the minimum id that has not \[been\] sent
 /// in \[the\] current phase".
 pub fn min_not_in(a: &TokenSet, b: &TokenSet) -> Option<TokenId> {
-    for i in 0..a.words.len() {
-        let w = a.words[i] & !b.word(i);
+    let (a, b) = (a.words(), b.words());
+    for (i, &aw) in a.iter().enumerate() {
+        let w = aw & !word_at(b, i);
         if w != 0 {
             return Some(TokenId((i * 64) as u64 + u64::from(w.trailing_zeros())));
         }
@@ -259,8 +395,9 @@ pub fn min_not_in(a: &TokenSet, b: &TokenSet) -> Option<TokenId> {
 /// The token with the largest id in `a \ (b ∪ c)` — the member selection of
 /// Algorithm 1 uses `TA \ (TS ∪ TR)` without materialising the union.
 pub fn max_not_in_either(a: &TokenSet, b: &TokenSet, c: &TokenSet) -> Option<TokenId> {
-    for i in (0..a.words.len()).rev() {
-        let w = a.words[i] & !(b.word(i) | c.word(i));
+    let (a, b, c) = (a.words(), b.words(), c.words());
+    for i in (0..a.len()).rev() {
+        let w = a[i] & !(word_at(b, i) | word_at(c, i));
         if w != 0 {
             return Some(TokenId((i * 64 + 63) as u64 - u64::from(w.leading_zeros())));
         }
@@ -275,7 +412,10 @@ pub fn universe(k: usize) -> TokenSet {
     if k % 64 != 0 {
         words.push((1u64 << (k % 64)) - 1);
     }
-    TokenSet { words, len: k }
+    TokenSet {
+        words: Words::Owned(words),
+        len: k,
+    }
 }
 
 /// Distribute `k` tokens over `n` nodes round-robin: token `i` starts at
@@ -398,6 +538,56 @@ mod tests {
         let mut cleared = set(&[500]);
         cleared.clear();
         assert_eq!(cleared, TokenSet::new());
+    }
+
+    #[test]
+    fn storage_forms_keep_the_set_at_32_bytes() {
+        assert_eq!(std::mem::size_of::<TokenSet>(), 32);
+    }
+
+    #[test]
+    fn union_adopts_a_shared_superset() {
+        let payload = set(&[1, 64, 200]).frozen();
+        let mut empty = TokenSet::new();
+        empty.union_with(&payload);
+        assert!(empty.shares_words(&payload), "an empty receiver adopts");
+        let mut subset = set(&[64]);
+        subset.union_with(&payload);
+        assert!(subset.shares_words(&payload), "a subset receiver adopts");
+        assert_eq!(subset.len(), 3);
+        let mut disjoint = set(&[2]);
+        disjoint.union_with(&payload);
+        assert!(
+            !disjoint.shares_words(&payload),
+            "a union larger than the payload is owned"
+        );
+        assert_eq!(disjoint, set(&[1, 2, 64, 200]));
+        let mut from_owned = TokenSet::new();
+        from_owned.union_with(&set(&[5]));
+        // A set shares words with itself iff its words are shared.
+        assert!(
+            !from_owned.shares_words(&from_owned),
+            "an owned operand is copied"
+        );
+    }
+
+    #[test]
+    fn writes_to_an_adopter_leave_the_payload_alone() {
+        let payload = set(&[3, 70]).frozen();
+        let mut a = TokenSet::new();
+        a.union_with(&payload);
+        let mut b = TokenSet::new();
+        b.union_with(&payload);
+        assert!(a.insert(TokenId(4)));
+        assert!(!a.shares_words(&payload), "a write copies the words out");
+        b.clear();
+        assert!(b.is_empty() && !b.contains(&TokenId(3)));
+        assert_eq!(payload, set(&[3, 70]));
+        assert_eq!(a, set(&[3, 4, 70]));
+        assert!(
+            payload.frozen().shares_words(&payload),
+            "refreezing is free"
+        );
     }
 
     #[test]
