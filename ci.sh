@@ -33,6 +33,18 @@ if [[ -n "$plane_calls" ]]; then
     exit 1
 fi
 
+# Single-executor gate: the delivery plane (`Plane::new`) and the round
+# builder (`Rounds::new`) are constructed only by the two execution modes
+# in hinet_sim::{engine, event}. Code anywhere else that builds them is a
+# third executor with its own round loop.
+executor_calls="$(grep -rnE --include='*.rs' '\b(Plane|Rounds)::new\(' src crates tests examples \
+    | grep -vE '^crates/hinet-sim/src/(engine|event)\.rs:' || true)"
+if [[ -n "$executor_calls" ]]; then
+    echo "single-executor gate: a round loop outside hinet_sim::{engine, event}:" >&2
+    echo "$executor_calls" >&2
+    exit 1
+fi
+
 cargo build --release --offline --workspace
 # Every workspace crate's tests, not only the root package's.
 cargo test -q --offline --workspace
@@ -177,8 +189,8 @@ test -s target/ci-delivery/BENCH_sweep_chaos.json
     --baseline target/ci-delivery/BENCH_sweep_chaos.json --max-regress 10000 >/dev/null
 echo "delivery smoke: OK"
 
-# Event-runtime smoke: seeded event-mode runs — a clean alg2 run and an
-# alg1 run under loss, delay, duplication and reorder — must produce the
+# Event-runtime smoke: seeded event-mode runs — a clean alg2 run, and alg1
+# and RLNC runs under loss, delay, duplication and reorder — must produce the
 # same dissemination result as the lock-step engine: identical trace
 # behaviour (the headers differ only by the `mode` meta stamp, hence
 # --ignore meta). The chaotic pair leaves out --reliable: ack timing
@@ -204,6 +216,9 @@ event_pair() {
 event_pair clean --algorithm alg2 --n 32 --k 4 --seed 5
 event_pair chaos --algorithm alg1 --n 60 --k 8 --seed 5 --fault-seed 9 \
     --loss 0.05 --delay 0.03 --max-delay 3 --dup 0.02 --reorder
+event_pair rlnc --algorithm rlnc --dynamics flat-1 --n 40 --k 6 --seed 5 \
+    --fault-seed 9 --loss 0.05 --delay 0.03 --max-delay 3 --dup 0.02 --reorder \
+    --crash-at 2:3
 ./target/release/hinet run --algorithm klo-flood --n 32 --k 4 --seed 5 \
     --mode event >target/ci-event/klo.txt
 grep -q 'completed: true' target/ci-event/klo.txt || {

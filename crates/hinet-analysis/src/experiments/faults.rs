@@ -5,11 +5,10 @@ use super::ExperimentResult;
 use crate::report::Table;
 use hinet_cluster::ctvg::FlatProvider;
 use hinet_cluster::generators::{HiNetConfig, HiNetGen};
-use hinet_core::netcode::run_rlnc;
+use hinet_core::netcode::Unclustered;
 use hinet_core::runner::{run_algorithm, AlgorithmKind};
 use hinet_graph::generators::OneIntervalGen;
-use hinet_rt::obs::{ObsConfig, Tracer};
-use hinet_sim::engine::RunConfig;
+use hinet_sim::engine::{RunConfig, RunReport};
 use hinet_sim::fault::FaultPlan;
 use hinet_sim::token::round_robin_assignment;
 
@@ -71,17 +70,7 @@ pub fn e17_loss_resilience() -> ExperimentResult {
             &assignment,
             RunConfig::new().faults(faults.clone()),
         );
-        table.push_row(vec![
-            loss_label.clone(),
-            "klo-flood".into(),
-            flood.outcome.to_string(),
-            flood
-                .completion_round
-                .map_or("never".into(), |r| r.to_string()),
-            flood.metrics.tokens_sent.to_string(),
-            flood.metrics.faults_injected.to_string(),
-            flood.metrics.retransmits.to_string(),
-        ]);
+        table.push_row(row(&loss_label, "klo-flood", &flood));
 
         // Algorithm 2 on a (1, L)-HiNet. The 0% row runs the protocol as
         // published (assumptions hold, no wrapper); lossy rows arm the ARQ
@@ -108,47 +97,22 @@ pub fn e17_loss_resilience() -> ExperimentResult {
                 .faults(faults.clone())
                 .retransmit(retransmit),
         );
-        table.push_row(vec![
-            loss_label.clone(),
-            if retransmit {
-                "alg2 + retransmit".into()
-            } else {
-                "alg2".into()
-            },
-            alg2.outcome.to_string(),
-            alg2.completion_round
-                .map_or("never".into(), |r| r.to_string()),
-            alg2.metrics.tokens_sent.to_string(),
-            alg2.metrics.faults_injected.to_string(),
-            alg2.metrics.retransmits.to_string(),
-        ]);
+        let label = if retransmit {
+            "alg2 + retransmit"
+        } else {
+            "alg2"
+        };
+        table.push_row(row(&loss_label, label, &alg2));
 
-        // RLNC on the same flat dynamics. The report carries no fault
-        // counters, so drops come from the tracer's exact totals.
+        // RLNC on the same flat dynamics.
         let mut flat = OneIntervalGen::new(n, true, n / 5, SEED);
-        let mut tracer = Tracer::new(ObsConfig::full());
-        let rlnc = run_rlnc(
-            &mut flat,
+        let rlnc = run_algorithm(
+            &AlgorithmKind::Rlnc { k, seed: SEED },
+            &mut Unclustered::new(&mut flat),
             &assignment,
-            SEED,
-            RunConfig::new()
-                .max_rounds(budget)
-                .faults(faults.clone())
-                .tracer(&mut tracer),
+            RunConfig::new().max_rounds(budget).faults(faults.clone()),
         );
-        table.push_row(vec![
-            loss_label.clone(),
-            "rlnc".into(),
-            rlnc.completion_round.map_or_else(
-                || "stalled (budget exhausted)".into(),
-                |r| format!("completed in {r} rounds"),
-            ),
-            rlnc.completion_round
-                .map_or("never".into(), |r| r.to_string()),
-            rlnc.packets_sent.to_string(),
-            tracer.counters().faults_injected.to_string(),
-            "0".into(),
-        ]);
+        table.push_row(row(&loss_label, "rlnc", &rlnc));
     }
 
     ExperimentResult {
@@ -167,6 +131,21 @@ pub fn e17_loss_resilience() -> ExperimentResult {
                 .into(),
         ],
     }
+}
+
+/// One table row: the run's outcome, completion round, tokens sent, drops
+/// and ARQ retransmits.
+fn row(loss: &str, algorithm: &str, r: &RunReport) -> Vec<String> {
+    vec![
+        loss.into(),
+        algorithm.into(),
+        r.outcome.to_string(),
+        r.completion_round
+            .map_or("never".into(), |round| round.to_string()),
+        r.metrics.tokens_sent.to_string(),
+        r.metrics.faults_injected.to_string(),
+        r.metrics.retransmits.to_string(),
+    ]
 }
 
 #[cfg(test)]

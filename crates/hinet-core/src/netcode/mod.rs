@@ -2,34 +2,162 @@
 //! improvement over token-forwarding, cited by the paper as related work.
 //!
 //! Coded dissemination transmits *coefficient vectors over GF(2)* rather
-//! than token sets, so it does not fit the token-payload [`hinet_sim`]
-//! protocol interface; this module carries its own small synchronous
-//! executor over the same [`TopologyProvider`] substrate. Each round every
-//! node broadcasts one uniformly random combination of its basis rows; a
-//! node has a token once its reduced basis isolates the token's unit
-//! vector, and the run completes when every node reaches full rank.
+//! than tokens. [`Rlnc`] is an ordinary [`Protocol`] whose packets are
+//! [`Payload::Coded`]: each round every node broadcasts one uniformly
+//! random combination of its basis rows, a node has a token once its
+//! reduced basis isolates the token's unit vector, and the run completes
+//! when every node has decoded every token (full rank). It runs on the
+//! round engine like every other algorithm
+//! ([`AlgorithmKind::Rlnc`]), in lock-step or event mode, over a flat
+//! topology whose hierarchy makes every node an unclustered member
+//! ([`Unclustered`]). [`run_rlnc`] is the one-call adapter for a flat
+//! [`TopologyProvider`].
 //!
 //! Cost accounting: one coded packet carries one token-payload's worth of
 //! data plus a `k`-bit coefficient header, so in the paper's token metric
 //! it counts as **1**, and in the byte metric as
 //! `token_bytes + ⌈k/8⌉ + packet_header_bytes`.
 
-pub mod gf2;
-
-use gf2::{Gf2Basis, Gf2Vec};
-use hinet_graph::graph::NodeId;
-use hinet_graph::rng::stream_rng;
+use crate::runner::{run_algorithm, AlgorithmKind};
+use hinet_cluster::ctvg::HierarchyProvider;
+use hinet_cluster::hierarchy::{Hierarchy, Role};
+use hinet_graph::graph::{Graph, NodeId};
+use hinet_graph::rng::{stream_rng, Xoshiro256StarStar};
 use hinet_graph::trace::TopologyProvider;
-use hinet_rt::obs::{Role, Tracer};
-use hinet_sim::delivery::Plane;
 use hinet_sim::engine::{CostWeights, RunConfig};
-use hinet_sim::token::TokenId;
+use hinet_sim::gf2::{Gf2Basis, Gf2Vec};
+use hinet_sim::protocol::{Destination, Incoming, LocalView, Outgoing, Payload, Protocol};
+use hinet_sim::token::{TokenId, TokenSet};
+use std::ops::DerefMut;
+use std::sync::Arc;
+
+/// One RLNC node: a GF(2) basis in reduced row-echelon form over `k`
+/// tokens, the tokens it decodes, and its own coin stream.
+#[derive(Debug)]
+pub struct Rlnc {
+    k: usize,
+    seed: u64,
+    rng: Xoshiro256StarStar,
+    basis: Gf2Basis,
+    decoded: TokenSet,
+}
+
+impl Rlnc {
+    /// A node over the token universe `0..k`; its coin stream derives from
+    /// `(seed, node)` at [`Protocol::on_start`].
+    pub fn new(k: usize, seed: u64) -> Self {
+        Rlnc {
+            k,
+            seed,
+            rng: stream_rng(seed, 0),
+            basis: Gf2Basis::new(k),
+            decoded: TokenSet::new(),
+        }
+    }
+
+    /// Reset the basis to the unit vectors of `tokens`.
+    fn load(&mut self, tokens: &[TokenId]) {
+        self.basis = Gf2Basis::new(self.k);
+        for t in tokens {
+            self.basis.insert(Gf2Vec::unit(self.k, t.0 as usize));
+        }
+        self.decode();
+    }
+
+    /// Refresh the decoded set: the weight-1 rows of the basis.
+    fn decode(&mut self) {
+        self.decoded = self
+            .basis
+            .decoded()
+            .into_iter()
+            .map(|i| TokenId(i as u64))
+            .collect();
+    }
+}
+
+impl Protocol for Rlnc {
+    fn on_start(&mut self, me: NodeId, initial: &[TokenId]) {
+        self.rng = stream_rng(self.seed, me.0 as u64);
+        self.load(initial);
+    }
+
+    fn send(&mut self, _view: &LocalView<'_>) -> Vec<Outgoing> {
+        match self.basis.random_combination(&mut self.rng) {
+            Some(v) => vec![Outgoing {
+                dest: Destination::Broadcast,
+                payload: Payload::Coded(Arc::new(v)),
+                retransmit: false,
+            }],
+            None => vec![],
+        }
+    }
+
+    fn receive(&mut self, _view: &LocalView<'_>, inbox: &[Incoming]) {
+        let mut grew = false;
+        for m in inbox {
+            if let Payload::Coded(v) = &m.payload {
+                grew |= self.basis.insert(Gf2Vec::clone(v));
+            }
+        }
+        if grew {
+            self.decode();
+        }
+    }
+
+    fn known(&self) -> &TokenSet {
+        &self.decoded
+    }
+
+    /// The restarted node keeps its coin stream: only the basis is
+    /// volatile, rebuilt from the unit vectors of `retained`.
+    fn on_restart(&mut self, _me: NodeId, retained: &[TokenId]) {
+        self.load(retained);
+    }
+}
+
+/// A flat topology under a hierarchy of unclustered members. RLNC ignores
+/// cluster structure, so no node is a head: no `target_heads` hazard crash
+/// matches, no re-election fires, and the trace attributes every send to
+/// the member role. The hierarchy is valid only while
+/// [`RunConfig::validate_hierarchy`] is off (the default).
+pub struct Unclustered<P> {
+    inner: P,
+    hierarchy: Arc<Hierarchy>,
+}
+
+impl<P: DerefMut<Target: TopologyProvider>> Unclustered<P> {
+    /// Wrap a flat topology provider.
+    pub fn new(inner: P) -> Self {
+        let n = inner.n();
+        let hierarchy = Hierarchy::new(vec![Role::Member; n], vec![None; n]);
+        Unclustered {
+            inner,
+            hierarchy: Arc::new(hierarchy),
+        }
+    }
+}
+
+impl<P: DerefMut<Target: TopologyProvider> + Send> TopologyProvider for Unclustered<P> {
+    fn n(&self) -> usize {
+        self.inner.n()
+    }
+
+    fn graph_at(&mut self, round: usize) -> Arc<Graph> {
+        self.inner.graph_at(round)
+    }
+}
+
+impl<P: DerefMut<Target: TopologyProvider> + Send> HierarchyProvider for Unclustered<P> {
+    fn hierarchy_at(&mut self, _round: usize) -> Arc<Hierarchy> {
+        Arc::clone(&self.hierarchy)
+    }
+}
 
 /// Outcome of an RLNC run.
 #[derive(Clone, Debug)]
 pub struct RlncReport {
-    /// Rounds until every node reached full rank, or `None` if the budget
-    /// ran out first.
+    /// Rounds until every node decoded every token, or `None` if the
+    /// budget ran out first.
     pub completion_round: Option<usize>,
     /// Rounds executed.
     pub rounds_executed: usize,
@@ -57,252 +185,56 @@ impl RlncReport {
     }
 }
 
-/// Run RLNC dissemination over `provider` — the single RLNC entry point,
-/// mirroring [`hinet_sim::engine::Engine::run`].
+/// Run RLNC dissemination over the flat `provider`: the round engine
+/// ([`run_algorithm`] with [`AlgorithmKind::Rlnc`]) over the provider
+/// wrapped in [`Unclustered`], its report reduced to an [`RlncReport`].
 ///
 /// `assignment[u]` are node `u`'s initial tokens (ids must lie in
 /// `0..k` where `k` is the total distinct token count — use
 /// [`hinet_sim::token::round_robin_assignment`]). Fully deterministic
-/// given `seed`. The round budget, byte-cost weights, fault plan and
-/// optional tracer all come from `cfg`:
+/// given `seed`. Everything else comes from `cfg`, exactly as for any
+/// engine run:
 ///
-/// * **tracing** ([`RunConfig::tracer`]) — identical dissemination (the
-///   tracer never touches the RNG streams); each coded broadcast is
-///   emitted as an [`hinet_rt::obs::Event::HeadBroadcast`] with
-///   `count = 1` (a packet carries one token-payload's worth of data in
-///   the paper's metric), `token` set to the packet's leading coordinate
-///   (its pivot under GF(2) reduction) and role [`Role::Member`] — RLNC is
-///   flat, there is no hierarchy to attribute. Byte accounting uses
-///   [`RunConfig::cost_weights`] plus the `⌈k/8⌉`-byte coefficient header
-///   (see [`RlncReport::total_bytes`]).
-/// * **faults** ([`RunConfig::faults`]) — every delivery passes the same
-///   [`hinet_sim::delivery::Plane`] as the lock-step engine. Per-delivery
-///   loss and partition cuts suppress basis inserts at the receiver (the
-///   sender still pays for the packet), and crashed nodes go silent for
-///   `down_rounds` rounds, losing their accumulated basis unless the plan
-///   declares tokens durable. The dissemination RNG streams are never consulted by
-///   the fault plane, so a trivial plan is byte-identical to a plain run.
-///   RLNC is flat, so `target_heads` never matches a hazard crash here;
-///   scheduled [`hinet_sim::fault::FaultPlan::with_crash_at`] entries
-///   still fire. The delivery pathologies apply too: a delayed packet
-///   ([`hinet_sim::fault::FaultPlan::with_delay_ppm`]) is inserted at its
-///   matured round (lost if the receiver is down then), a duplicated one
-///   is a GF(2) no-op (counted, never double-inserted), and reorder
-///   shuffles each receiver's per-round insert order (a span-preserving
-///   permutation).
-/// * **reliability** ([`RunConfig::reliable`]) — each delivery registers
-///   in a per-sender [`hinet_sim::reliable::SenderWindow`]; unacked
-///   packets retransmit on the backed-off timer (each re-send pays one
-///   packet), receivers dedup by reliable id, and acks apply at the round
-///   barrier exactly like the lock-step engine. Active only alongside a non-trivial fault plan.
+/// * **tracing** ([`RunConfig::tracer`]) — each coded broadcast is an
+///   [`hinet_rt::obs::Event::HeadBroadcast`] with `count = 1`, `token` set
+///   to the packet's pivot (its leading coordinate) and role `member`;
+///   its byte cost includes the `⌈k/8⌉`-byte coefficient header (see
+///   [`RlncReport::total_bytes`]).
+/// * **faults** ([`RunConfig::faults`]) — every delivery passes the
+///   engine's delivery plane. A crashed node goes silent for
+///   `down_rounds` rounds and restarts from its initial unit vectors, or
+///   from the tokens it had decoded when the plan declares tokens durable;
+///   it keeps its coin stream either way. No node is a head, so
+///   `target_heads` never matches a hazard crash; scheduled
+///   [`hinet_sim::fault::FaultPlan::with_crash_at`] entries still fire.
+///   The GF(2) span does not depend on insert order, so reorder changes
+///   nothing that decodes.
+/// * **reliability** ([`RunConfig::reliable`]) — unacked packets
+///   retransmit on the reliable layer's timers; `retransmits` counts those
+///   expiries ([`hinet_sim::engine::Metrics::retransmit_timeouts`]).
+/// * **execution mode** ([`RunConfig::mode`]) — lock-step and event mode
+///   give identical results.
 pub fn run_rlnc(
     provider: &mut dyn TopologyProvider,
     assignment: &[Vec<TokenId>],
     seed: u64,
-    mut cfg: RunConfig<'_>,
+    cfg: RunConfig<'_>,
 ) -> RlncReport {
-    let mut disabled = Tracer::disabled();
-    let tracer: &mut Tracer = match cfg.tracer.take() {
-        Some(t) => t,
-        None => &mut disabled,
-    };
-    let weights = cfg.cost_weights;
-    let faults = &cfg.faults;
-    let max_rounds = cfg.max_rounds;
-    let n = provider.n();
-    assert_eq!(assignment.len(), n, "one initial token list per node");
     let k = assignment
         .iter()
         .flatten()
         .map(|t| t.0 as usize + 1)
         .max()
         .unwrap_or(0);
-    let packet_bytes = weights.token_bytes + k.div_ceil(8) as u64 + weights.packet_header_bytes;
-    if tracer.enabled() {
-        tracer.meta("algorithm", "rlnc");
-        tracer.meta("token_bytes", weights.token_bytes.to_string());
-        tracer.meta(
-            "packet_header_bytes",
-            weights.packet_header_bytes.to_string(),
-        );
-    }
-
-    let mut bases: Vec<Gf2Basis> = (0..n).map(|_| Gf2Basis::new(k)).collect();
-    for (u, tokens) in assignment.iter().enumerate() {
-        for t in tokens {
-            bases[u].insert(Gf2Vec::unit(k, t.0 as usize));
-        }
-    }
-    let mut rngs: Vec<_> = (0..n).map(|u| stream_rng(seed, u as u64)).collect();
-
-    let all_complete = |bases: &[Gf2Basis]| -> bool { bases.iter().all(|b| b.is_complete()) };
-
-    if k == 0 || all_complete(&bases) {
-        tracer.run_end(0, true);
-        return RlncReport {
-            completion_round: Some(0),
-            rounds_executed: 0,
-            packets_sent: 0,
-            retransmits: 0,
-            k,
-        };
-    }
-
-    let trivial = faults.is_trivial();
-    let mut down_until = vec![0usize; n];
-    let mut was_down = vec![false; n];
-    // The shared delivery plane: gate chain, held delayed packets and the
-    // optional reliability layer, exactly as in the lock-step engine.
-    let mut plane: Plane<'_, Gf2Vec> = Plane::new(faults, cfg.reliable, n);
-
-    let mut packets_sent = 0u64;
-    let mut completion_round = None;
-    let mut rounds_executed = 0;
-    for round in 0..max_rounds {
-        let graph = provider.graph_at(round);
-        tracer.round_start(round as u64);
-        if !trivial {
-            for u in 0..n {
-                if was_down[u] && round >= down_until[u] {
-                    was_down[u] = false;
-                    tracer.recover(round as u64, u as u64);
-                }
-            }
-            for u in 0..n {
-                if round < down_until[u] {
-                    continue;
-                }
-                if faults.crashes(round, u, false) {
-                    tracer.crash(round as u64, u as u64, faults.durable_tokens);
-                    if !faults.durable_tokens {
-                        // Volatile storage: the restarted node is back to
-                        // its initially assigned unit vectors.
-                        let mut b = Gf2Basis::new(k);
-                        for t in &assignment[u] {
-                            b.insert(Gf2Vec::unit(k, t.0 as usize));
-                        }
-                        bases[u] = b;
-                    }
-                    down_until[u] = round + faults.down_rounds;
-                    was_down[u] = true;
-                }
-            }
-        }
-        let is_down = |v: usize| round < down_until[v];
-        // Per-receiver insert lists for the round: matured delayed packets
-        // first, then timer retransmissions, then fresh deliveries —
-        // applied after the send phase so every send combination is drawn
-        // from the pre-round bases.
-        let mut incoming: Vec<Vec<Gf2Vec>> = vec![Vec::new(); n];
-        plane.mature(round, is_down, |v, _, pkt| incoming[v].push(pkt));
-        // Reliability-timer retransmissions: one packet each.
-        for u in (0..n).filter(|&u| !is_down(u)) {
-            let me = NodeId::from_index(u);
-            let edge = |v: usize| graph.neighbors(me).contains(&NodeId::from_index(v));
-            for rt in plane.due(u, round, edge) {
-                packets_sent += 1;
-                let v = rt.to;
-                if let Some(pkt) = plane.resend(round, u, rt, is_down(v), tracer) {
-                    incoming[v].push(pkt);
-                }
-            }
-        }
-        // Send phase: simultaneous, so collect first.
-        let outgoing: Vec<Option<Gf2Vec>> = (0..n)
-            .map(|u| {
-                if is_down(u) {
-                    None
-                } else {
-                    bases[u].random_combination(&mut rngs[u])
-                }
-            })
-            .collect();
-        for (u, pkt) in outgoing.iter().enumerate() {
-            let Some(pkt) = pkt else { continue };
-            packets_sent += 1;
-            if tracer.enabled() {
-                let pivot = pkt.leading().unwrap_or(0) as u64;
-                tracer.head_broadcast(round as u64, u as u64, pivot, 1, Role::Member, packet_bytes);
-            }
-            for &v in graph.neighbors(NodeId::from_index(u)) {
-                let v = v.index();
-                // A duplicate insert is a GF(2) no-op, so the plane's
-                // on-the-spot discard is exact.
-                let hop = (u, v, 0);
-                if let Some(pkt) = plane.send(round, hop, pkt.clone(), || is_down(v), tracer) {
-                    incoming[v].push(pkt);
-                }
-            }
-        }
-        // Apply the round's inserts; reorder shuffles each receiver's
-        // insert order (the GF(2) span is permutation-invariant, so this
-        // exercises the pathology without changing what decodes).
-        for (v, mut pkts) in incoming.into_iter().enumerate() {
-            faults.shuffle(round, v, &mut pkts);
-            for pkt in pkts {
-                bases[v].insert(pkt);
-            }
-        }
-        // Omniscient round-barrier ack sync, exactly like the lock-step
-        // engine: every sender learns each receiver's cumulative ack.
-        plane.sync_acks();
-        rounds_executed = round + 1;
-        if all_complete(&bases) {
-            completion_round = Some(rounds_executed);
-            break;
-        }
-    }
-
-    if plane.tally.dups_discarded > 0 {
-        tracer.note_dedup(plane.tally.dups_discarded);
-    }
-    tracer.run_end(rounds_executed as u64, completion_round.is_some());
+    let kind = AlgorithmKind::Rlnc { k, seed };
+    let report = run_algorithm(&kind, &mut Unclustered::new(provider), assignment, cfg);
     RlncReport {
-        completion_round,
-        rounds_executed,
-        packets_sent,
-        retransmits: plane.tally.retransmit_timeouts,
+        completion_round: report.completion_round,
+        rounds_executed: report.rounds_executed,
+        packets_sent: report.metrics.packets_sent,
+        retransmits: report.metrics.retransmit_timeouts,
         k,
     }
-}
-
-/// Per-node decoded token count after a run — exposed for experiments that
-/// track decoding progress (re-runs the simulation capturing rank growth).
-pub fn rank_progress(
-    provider: &mut dyn TopologyProvider,
-    assignment: &[Vec<TokenId>],
-    rounds: usize,
-    seed: u64,
-) -> Vec<usize> {
-    let n = provider.n();
-    let k = assignment
-        .iter()
-        .flatten()
-        .map(|t| t.0 as usize + 1)
-        .max()
-        .unwrap_or(0);
-    let mut bases: Vec<Gf2Basis> = (0..n).map(|_| Gf2Basis::new(k)).collect();
-    for (u, tokens) in assignment.iter().enumerate() {
-        for t in tokens {
-            bases[u].insert(Gf2Vec::unit(k, t.0 as usize));
-        }
-    }
-    let mut rngs: Vec<_> = (0..n).map(|u| stream_rng(seed, u as u64)).collect();
-    let mut min_rank_series = Vec::with_capacity(rounds);
-    for round in 0..rounds {
-        let graph = provider.graph_at(round);
-        let outgoing: Vec<Option<Gf2Vec>> = (0..n)
-            .map(|u| bases[u].random_combination(&mut rngs[u]))
-            .collect();
-        for (u, pkt) in outgoing.iter().enumerate() {
-            let Some(pkt) = pkt else { continue };
-            for &v in graph.neighbors(NodeId::from_index(u)) {
-                bases[v.index()].insert(pkt.clone());
-            }
-        }
-        min_rank_series.push(bases.iter().map(|b| b.rank()).min().unwrap_or(0));
-    }
-    min_rank_series
 }
 
 #[cfg(test)]
@@ -310,9 +242,157 @@ mod tests {
     use super::*;
     use hinet_graph::generators::{BackboneKind, OneIntervalGen, TIntervalGen};
     use hinet_graph::trace::StaticProvider;
-    use hinet_graph::Graph;
+    use hinet_rt::obs::{ObsConfig, Tracer};
+    use hinet_sim::engine::ExecMode;
     use hinet_sim::fault::FaultPlan;
     use hinet_sim::token::round_robin_assignment;
+
+    /// A coded delivery of the vector with ones at `idxs`.
+    fn coded(k: usize, idxs: &[usize]) -> Incoming {
+        let mut v = Gf2Vec::zero(k);
+        for &i in idxs {
+            v.set(i);
+        }
+        Incoming {
+            from: NodeId(0),
+            directed: false,
+            payload: Payload::Coded(Arc::new(v)),
+        }
+    }
+
+    fn view(me: NodeId) -> LocalView<'static> {
+        LocalView {
+            me,
+            round: 0,
+            role: Role::Member,
+            cluster: None,
+            head: None,
+            parent: None,
+            neighbors: &[],
+        }
+    }
+
+    fn tokens(node: &Rlnc) -> Vec<u64> {
+        node.known().iter().map(|t| t.0).collect()
+    }
+
+    /// The full delivery-plane chaos plan with a scheduled crash.
+    fn chaos() -> FaultPlan {
+        FaultPlan::new(5)
+            .with_loss_ppm(50_000)
+            .with_delay_ppm(50_000)
+            .with_max_delay(3)
+            .with_dup_ppm(50_000)
+            .with_reorder(true)
+            .with_crash_at(2, 3)
+    }
+
+    #[test]
+    fn decoded_tokens_are_the_unit_rows() {
+        let me = NodeId(2);
+        let mut node = Rlnc::new(4, 9);
+        node.on_start(me, &[TokenId(1)]);
+        assert_eq!(tokens(&node), [1]);
+        node.receive(&view(me), &[coded(4, &[0, 2]), coded(4, &[1, 3])]);
+        assert_eq!(tokens(&node), [1, 3], "e0+e2 stays entangled");
+        node.receive(&view(me), &[coded(4, &[2])]);
+        assert_eq!(tokens(&node), [0, 1, 2, 3], "full rank decodes everything");
+    }
+
+    #[test]
+    fn volatile_restart_reloads_the_initial_tokens_and_keeps_the_coin_stream() {
+        let me = NodeId(2);
+        let mut node = Rlnc::new(4, 9);
+        node.on_start(me, &[TokenId(1)]);
+        node.receive(&view(me), &[coded(4, &[3]), coded(4, &[0, 2])]);
+        assert_eq!(node.send(&view(me)).len(), 1);
+        let coins = node.rng.clone();
+        assert_ne!(coins, stream_rng(9, 2), "the send drew coins");
+        node.on_restart(me, &[TokenId(1)]);
+        assert_eq!(tokens(&node), [1]);
+        assert_eq!(node.basis.rank(), 1, "the learned rows are gone");
+        assert_eq!(node.rng, coins, "the coin stream continues, unseeded");
+    }
+
+    #[test]
+    fn durable_restart_keeps_the_decoded_tokens_only() {
+        let me = NodeId(2);
+        let mut node = Rlnc::new(4, 9);
+        node.on_start(me, &[TokenId(1)]);
+        node.receive(&view(me), &[coded(4, &[3]), coded(4, &[0, 2])]);
+        // The engine's durable contract hands back `known()`.
+        let retained: Vec<TokenId> = node.known().iter().collect();
+        node.on_restart(me, &retained);
+        assert_eq!(tokens(&node), [1, 3]);
+        assert_eq!(node.basis.rank(), 2, "the entangled e0+e2 row is lost");
+    }
+
+    #[test]
+    fn durable_crash_run_completes() {
+        let mut p = StaticProvider::new(Graph::complete(8));
+        let assignment = round_robin_assignment(8, 4);
+        let faults = FaultPlan::new(0)
+            .with_crash_at(0, 3)
+            .with_durable_tokens(true);
+        let mut tracer = Tracer::new(ObsConfig::full());
+        let r = run_rlnc(
+            &mut p,
+            &assignment,
+            1,
+            RunConfig::new()
+                .max_rounds(400)
+                .faults(faults)
+                .tracer(&mut tracer),
+        );
+        assert!(r.completed());
+        assert_eq!(tracer.counters().crashes, 1);
+    }
+
+    #[test]
+    fn adapter_and_runner_write_identical_traces() {
+        let assignment = round_robin_assignment(16, 4);
+        let cfg = |t| {
+            RunConfig::new()
+                .max_rounds(300)
+                .faults(chaos())
+                .reliable(true)
+                .tracer(t)
+        };
+        let mut a = Tracer::new(ObsConfig::full());
+        let mut gen = OneIntervalGen::new(16, true, 3, 9);
+        let adapted = run_rlnc(&mut gen, &assignment, 4, cfg(&mut a));
+        let mut b = Tracer::new(ObsConfig::full());
+        let mut gen = OneIntervalGen::new(16, true, 3, 9);
+        let direct = run_algorithm(
+            &AlgorithmKind::Rlnc { k: 4, seed: 4 },
+            &mut Unclustered::new(&mut gen),
+            &assignment,
+            cfg(&mut b),
+        );
+        assert!(adapted.completed());
+        assert!(a.counters().faults_injected > 0 && a.counters().crashes == 1);
+        assert_eq!(adapted.completion_round, direct.completion_round);
+        assert_eq!(adapted.packets_sent, direct.metrics.packets_sent);
+        assert_eq!(a.to_jsonl(), b.to_jsonl());
+    }
+
+    #[test]
+    fn event_mode_matches_lockstep() {
+        let assignment = round_robin_assignment(16, 4);
+        let run = |mode| {
+            let mut p = OneIntervalGen::new(16, true, 3, 9);
+            let cfg = RunConfig::new()
+                .max_rounds(300)
+                .faults(chaos())
+                .mode(mode)
+                .threads(2);
+            run_rlnc(&mut p, &assignment, 4, cfg)
+        };
+        let (lock, event) = (run(ExecMode::Lockstep), run(ExecMode::Event));
+        assert!(lock.completed());
+        assert_eq!(event.completion_round, lock.completion_round);
+        assert_eq!(event.packets_sent, lock.packets_sent);
+    }
 
     #[test]
     fn completes_on_static_complete_graph() {
@@ -384,7 +464,7 @@ mod tests {
 
     #[test]
     fn traced_run_matches_untraced_and_accounts_costs() {
-        use hinet_rt::obs::{Event, ObsConfig, TraceSummary};
+        use hinet_rt::obs::{Event, TraceSummary};
 
         let run = |tracer: &mut Tracer| {
             let mut p = OneIntervalGen::new(16, false, 3, 9);
@@ -432,8 +512,6 @@ mod tests {
 
     #[test]
     fn lossy_rlnc_still_completes_and_reports_faults() {
-        use hinet_rt::obs::ObsConfig;
-
         let run = |faults: &FaultPlan, tracer: &mut Tracer| {
             let mut p = StaticProvider::new(Graph::complete(10));
             let assignment = round_robin_assignment(10, 4);
@@ -484,8 +562,6 @@ mod tests {
 
     #[test]
     fn crashed_rlnc_node_loses_volatile_basis_and_recovers() {
-        use hinet_rt::obs::ObsConfig;
-
         let mut p = StaticProvider::new(Graph::complete(8));
         let assignment = round_robin_assignment(8, 4);
         let faults = FaultPlan::new(0).with_crash_at(0, 3).with_down_rounds(2);
@@ -503,16 +579,5 @@ mod tests {
         let c = tracer.counters();
         assert_eq!(c.crashes, 1);
         assert_eq!(c.recoveries, 1);
-    }
-
-    #[test]
-    fn min_rank_is_monotone() {
-        let mut p = StaticProvider::new(Graph::cycle(12));
-        let assignment = round_robin_assignment(12, 6);
-        let series = rank_progress(&mut p, &assignment, 60, 7);
-        for w in series.windows(2) {
-            assert!(w[1] >= w[0], "min rank must never decrease");
-        }
-        assert_eq!(*series.last().unwrap(), 6, "eventually full rank");
     }
 }

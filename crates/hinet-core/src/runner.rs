@@ -8,6 +8,7 @@ use crate::algorithms::{
     DeltaFlood, Gossip, HiNetFullExchange, HiNetFullExchangeMH, HiNetPhased, KActiveFlood,
     KloFlood, KloPhased,
 };
+use crate::netcode::Rlnc;
 use crate::params::PhasePlan;
 use hinet_cluster::ctvg::HierarchyProvider;
 use hinet_sim::engine::{Engine, RunConfig, RunReport};
@@ -58,6 +59,15 @@ pub enum AlgorithmKind {
         /// Round budget `M`.
         rounds: usize,
     },
+    /// Random linear network coding over GF(2) (experiments E15, E17;
+    /// see [`crate::netcode`]). Runs on a flat topology under an
+    /// all-member hierarchy ([`crate::netcode::Unclustered`]).
+    Rlnc {
+        /// Token universe size: coefficient vectors have `k` entries.
+        k: usize,
+        /// RNG seed for the per-node coin streams.
+        seed: u64,
+    },
 }
 
 impl AlgorithmKind {
@@ -73,6 +83,7 @@ impl AlgorithmKind {
             AlgorithmKind::KActiveFlood { .. } => "k-active-flood",
             AlgorithmKind::DeltaFlood { .. } => "delta-flood",
             AlgorithmKind::HiNetFullExchangeMH { .. } => "alg2-multihop",
+            AlgorithmKind::Rlnc { .. } => "rlnc",
         }
     }
 
@@ -108,6 +119,7 @@ impl AlgorithmKind {
             AlgorithmKind::HiNetFullExchangeMH { rounds } => {
                 Box::new(HiNetFullExchangeMH::new(rounds))
             }
+            AlgorithmKind::Rlnc { k, seed } => Box::new(Rlnc::new(k, seed)),
         }
     }
 }
@@ -137,7 +149,7 @@ impl AlgorithmKind {
 /// retransmission-recovery mode. A default config runs the plain path.
 pub fn run_algorithm(
     kind: &AlgorithmKind,
-    provider: &mut (dyn HierarchyProvider + Send),
+    provider: &mut dyn HierarchyProvider,
     assignment: &[Vec<TokenId>],
     mut cfg: RunConfig<'_>,
 ) -> RunReport {
@@ -385,6 +397,7 @@ mod tests {
             },
             AlgorithmKind::DeltaFlood { rounds: 1 },
             AlgorithmKind::HiNetFullExchangeMH { rounds: 1 },
+            AlgorithmKind::Rlnc { k: 1, seed: 0 },
         ];
         let labels: std::collections::BTreeSet<_> = kinds.iter().map(|k| k.label()).collect();
         assert_eq!(labels.len(), kinds.len());

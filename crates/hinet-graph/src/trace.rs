@@ -18,7 +18,10 @@ use std::sync::Arc;
 /// revisit arbitrary rounds, so implementations cache or recompute
 /// deterministically (all generators in [`crate::generators`] derive the
 /// round's randomness from `(seed, round)`).
-pub trait TopologyProvider {
+///
+/// Providers are `Send`, so any of them can drive an engine run whose
+/// worker threads hold the provider.
+pub trait TopologyProvider: Send {
     /// Number of nodes (constant over the lifetime — the paper's model has a
     /// fixed `V`; churn is in edges, not nodes).
     fn n(&self) -> usize;

@@ -427,9 +427,6 @@ pub struct Counters {
     pub retransmit_timeouts: u64,
     /// Stall-watchdog per-node snapshots taken when a run halted.
     pub stall_probes: u64,
-    /// Duplicate envelopes discarded by the receive plane (a gauge fed via
-    /// [`Tracer::note_dedup`] — it has no event of its own).
-    pub dups_discarded: u64,
 }
 
 /// A power-of-two-bucket histogram (bucket `i` counts values `v` with
@@ -853,17 +850,6 @@ impl Tracer {
         self.emit(frontier, Event::StallProbe { node });
     }
 
-    /// Record the receive plane's duplicate-discard gauge into the
-    /// counters. Called once at the end of an RLNC run; chaos-free runs
-    /// never call it with a nonzero value, so their artifacts are
-    /// unchanged.
-    pub fn note_dedup(&mut self, dups_discarded: u64) {
-        if !self.enabled() {
-            return;
-        }
-        self.counters.dups_discarded = dups_discarded;
-    }
-
     /// Emit [`Event::StabilityWindow`].
     pub fn stability_window(&mut self, round: u64, def: u8, open: bool, held: bool) {
         self.emit(round, Event::StabilityWindow { def, open, held });
@@ -1043,7 +1029,6 @@ fn counters_json(c: &Counters) -> Json {
         ("duplicates_injected", c.duplicates_injected),
         ("retransmit_timeouts", c.retransmit_timeouts),
         ("stall_probes", c.stall_probes),
-        ("dups_discarded", c.dups_discarded),
     ] {
         if v > 0 {
             fields.push((name.into(), Json::Num(v as f64)));
@@ -1237,7 +1222,8 @@ impl ParsedTrace {
         }
         // Fault counters default to 0 when absent: they are only written
         // when nonzero, and older traces predate them entirely. Unknown keys
-        // (such as the retired event-runtime gauges) are ignored.
+        // (such as the retired event-runtime gauges and the retired
+        // `dups_discarded` gauge) are ignored.
         let opt_counter =
             |v: &Json, key: &str| -> u64 { v.get(key).and_then(Json::as_u64).unwrap_or(0) };
         let counters = Counters {
@@ -1256,7 +1242,6 @@ impl ParsedTrace {
             duplicates_injected: opt_counter(c, "duplicates_injected"),
             retransmit_timeouts: opt_counter(c, "retransmit_timeouts"),
             stall_probes: opt_counter(c, "stall_probes"),
-            dups_discarded: opt_counter(c, "dups_discarded"),
         };
         let dropped = header
             .get("dropped")
@@ -1294,16 +1279,14 @@ impl ParsedTrace {
 
     /// Recompute the counters from the recorded event stream.
     ///
-    /// `bytes_sent` and the dedup gauge (`dups_discarded`) are copied from
-    /// the header — events carry neither byte costs nor receive-plane
-    /// state, so they cannot be recounted. For a
+    /// `bytes_sent` is copied from the header — events carry no byte
+    /// costs, so it cannot be recounted. For a
     /// complete trace ([`ParsedTrace::is_complete`]) every other field must
     /// equal the header's counters; a mismatch means the artifact was
     /// truncated or hand-edited (the golden-corpus hygiene gate).
     pub fn recount_events(&self) -> Counters {
         let mut c = Counters {
             bytes_sent: self.counters.bytes_sent,
-            dups_discarded: self.counters.dups_discarded,
             ..Counters::default()
         };
         for te in &self.events {
@@ -1535,12 +1518,10 @@ impl TraceSummary {
                 c.faults_injected, c.crashes, c.recoveries, c.retransmits,
             ));
         }
-        if c.delays_injected + c.duplicates_injected + c.dups_discarded + c.retransmit_timeouts > 0
-        {
+        if c.delays_injected + c.duplicates_injected + c.retransmit_timeouts > 0 {
             out.push_str(&format!(
-                "delivery chaos: {} delayed, {} duplicated ({} dups discarded), \
-                 {} timer retransmits\n",
-                c.delays_injected, c.duplicates_injected, c.dups_discarded, c.retransmit_timeouts,
+                "delivery chaos: {} delayed, {} duplicated, {} timer retransmits\n",
+                c.delays_injected, c.duplicates_injected, c.retransmit_timeouts,
             ));
         }
         if c.stall_probes > 0 {

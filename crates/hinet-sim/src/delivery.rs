@@ -1,11 +1,10 @@
 //! The delivery plane: one gate chain, one reliability setup and one delay
-//! rule for every executor.
+//! rule for both execution modes.
 //!
 //! Every payload delivery in the simulator — the lock-step engine's inbox
-//! pushes, the event driver's [`crate::transport::Transport::send`] calls
-//! and the RLNC executor's coded packets — passes through this module, for
-//! any item type `T` (`(Payload, bool)` for the round engine, a GF(2)
-//! coefficient vector for RLNC). It owns:
+//! pushes and the event driver's [`crate::transport::Transport::send`]
+//! calls, coded RLNC packets included — passes through this module. It
+//! owns:
 //!
 //! * the **gate chain**, in this order: down receiver → partition → loss →
 //!   delay → duplication ([`Gates::fresh`]). A timer retransmission takes
@@ -27,39 +26,43 @@
 //! envelope reaches the receiver (an inbox push or a transport send), when
 //! acks travel (synced at the round barrier, or carried on the next
 //! round's markers), and the order it emits trace events. [`Plane`]
-//! bundles the state the two sequential executors share — the lock-step
-//! engine and RLNC hold delayed envelopes in it — while the event driver
-//! keeps one window and one ledger per node and files delayed envelopes
-//! straight into the receiver's [`crate::transport::RoundBuffer`] slot for
-//! `r + d`.
+//! bundles the lock-step engine's share — it holds delayed envelopes —
+//! while the event driver keeps one window and one ledger per node and
+//! files delayed envelopes straight into the receiver's
+//! [`crate::transport::RoundBuffer`] slot for `r + d`.
 //!
 //! A [trivial](FaultPlan::is_trivial) plan passes every delivery through
 //! untouched and allocates nothing, so clean runs stay byte-identical to
 //! runs without a plan.
 
 use crate::fault::FaultPlan;
+use crate::protocol::Payload;
 use crate::reliable::{ReceiverLedger, ReliableConfig, Retransmit, SenderWindow};
-use hinet_rt::obs::{Event, FaultKind, Tracer};
+use hinet_rt::obs::{Event, FaultKind};
 
-/// Where the plane writes the trace records its gates produce: the
-/// tracer itself, or an event driver's per-`(node, round)` buffer (`None`
-/// when the run is not traced) that is replayed in lock-step order after
-/// the run.
+/// What the plane carries: a payload and whether it was addressed to the
+/// receiver (unicast) rather than broadcast.
+pub type Item = (Payload, bool);
+
+/// Where the executors write trace records: the lock-step engine's tracer,
+/// or an event driver's per-`(node, round)` buffer (`None` when the run is
+/// not traced) that is replayed in lock-step order after the run.
 pub trait Record {
-    /// Record `event`, which happened in `round`.
-    fn record(&mut self, round: usize, event: Event);
-}
+    /// Record `event`, which happened in `round`. `overhead` is the bytes
+    /// a send's payload carries on air beyond its token cost
+    /// ([`Payload::overhead_bytes`]); it is zero for every other event.
+    fn record_bytes(&mut self, round: usize, event: Event, overhead: u64);
 
-impl Record for Tracer {
+    /// Record `event`, which carries no byte overhead.
     fn record(&mut self, round: usize, event: Event) {
-        self.emit(round as u64, event);
+        self.record_bytes(round, event, 0);
     }
 }
 
-impl Record for Option<Vec<Event>> {
-    fn record(&mut self, _round: usize, event: Event) {
+impl Record for Option<Vec<(Event, u64)>> {
+    fn record_bytes(&mut self, _round: usize, event: Event, overhead: u64) {
         if let Some(events) = self {
-            events.push(event);
+            events.push((event, overhead));
         }
     }
 }
@@ -203,11 +206,11 @@ impl<'p> Gates<'p> {
 
     /// A timer retransmission by `from`: counts and records the timeout,
     /// then runs down receiver → partition → loss. `true` when it arrives.
-    pub fn resend<T>(
+    pub fn resend(
         &self,
         round: usize,
         from: usize,
-        rt: &Retransmit<T>,
+        rt: &Retransmit<Item>,
         to_down: bool,
         tally: &mut Tally,
         rec: &mut impl Record,
@@ -221,7 +224,7 @@ impl<'p> Gates<'p> {
 
 /// Node `node`'s reliability sender window. The jitter seed derives from
 /// the fault seed, so `--fault-seed` replays the timers too.
-pub fn sender_window<T: Clone>(plan: &FaultPlan, node: usize) -> SenderWindow<T> {
+pub fn sender_window(plan: &FaultPlan, node: usize) -> SenderWindow<Item> {
     let seed = plan.seed ^ (node as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     SenderWindow::new(seed, ReliableConfig::default())
 }
@@ -235,31 +238,30 @@ pub fn accept(ledger: &mut ReceiverLedger, from: usize, rid: u64, tally: &mut Ta
 }
 
 /// A delayed envelope waiting for its round at the receiver.
-struct Held<T> {
+struct Held {
     due: usize,
     from: usize,
     rid: u64,
-    item: T,
+    item: Item,
 }
 
-/// The delivery plane of a sequential executor (the lock-step engine and
-/// RLNC): the gate chain, one sender window and one receiver ledger per
-/// node when the reliability layer is on, each receiver's held delayed
-/// envelopes, and the [`Tally`].
-pub struct Plane<'p, T> {
+/// The delivery plane of the lock-step engine: the gate chain, one sender
+/// window and one receiver ledger per node when the reliability layer is
+/// on, each receiver's held delayed envelopes, and the [`Tally`].
+pub struct Plane<'p> {
     gates: Gates<'p>,
-    windows: Vec<SenderWindow<T>>,
+    windows: Vec<SenderWindow<Item>>,
     ledgers: Vec<ReceiverLedger>,
-    held: Vec<Vec<Held<T>>>,
+    held: Vec<Vec<Held>>,
     /// The counters the gates produced so far.
     pub tally: Tally,
 }
 
-impl<'p, T: Clone> Plane<'p, T> {
+impl<'p> Plane<'p> {
     /// The plane for `n` nodes under `plan`. The reliability layer is
     /// active only when `reliable` is set and the plan is non-trivial; a
     /// trivial plan allocates nothing.
-    pub fn new(plan: &'p FaultPlan, reliable: bool, n: usize) -> Plane<'p, T> {
+    pub fn new(plan: &'p FaultPlan, reliable: bool, n: usize) -> Plane<'p> {
         let gates = Gates::new(plan);
         let nodes = if gates.trivial { 0 } else { n };
         let reliable_nodes = if reliable { nodes } else { 0 };
@@ -288,7 +290,7 @@ impl<'p, T: Clone> Plane<'p, T> {
         &mut self,
         round: usize,
         down: impl Fn(usize) -> bool,
-        mut deliver: impl FnMut(usize, usize, T),
+        mut deliver: impl FnMut(usize, usize, Item),
     ) {
         for to in 0..self.held.len() {
             if self.held[to].is_empty() {
@@ -317,7 +319,7 @@ impl<'p, T: Clone> Plane<'p, T> {
         from: usize,
         round: usize,
         edge: impl Fn(usize) -> bool,
-    ) -> Vec<Retransmit<T>> {
+    ) -> Vec<Retransmit<Item>> {
         match self.windows.get_mut(from) {
             Some(w) => w.due(round).into_iter().filter(|rt| edge(rt.to)).collect(),
             None => Vec::new(),
@@ -330,10 +332,10 @@ impl<'p, T: Clone> Plane<'p, T> {
         &mut self,
         round: usize,
         from: usize,
-        rt: Retransmit<T>,
+        rt: Retransmit<Item>,
         to_down: bool,
         rec: &mut impl Record,
-    ) -> Option<T> {
+    ) -> Option<Item> {
         let arrives = self
             .gates
             .resend(round, from, &rt, to_down, &mut self.tally, rec);
@@ -348,10 +350,10 @@ impl<'p, T: Clone> Plane<'p, T> {
         &mut self,
         round: usize,
         (from, to, seq): (usize, usize, u32),
-        item: T,
+        item: Item,
         to_down: impl FnOnce() -> bool,
         rec: &mut impl Record,
-    ) -> Option<T> {
+    ) -> Option<Item> {
         if self.gates.trivial {
             return Some(item);
         }

@@ -495,6 +495,9 @@ pub struct Metrics {
     /// (see [`RunConfig::reliable`]); disjoint from
     /// [`Metrics::retransmits`], which counts protocol-level ARQ.
     pub retransmit_timeouts: u64,
+    /// Bytes on air beyond the token and header costs: the coefficient
+    /// headers of coded packets ([`Payload::overhead_bytes`]).
+    pub overhead_bytes: u64,
     /// Optional per-round series (see [`RunConfig::record_rounds`]).
     pub rounds: Vec<RoundMetrics>,
     /// Optional full message log (see [`RunConfig::record_messages`]).
@@ -506,9 +509,12 @@ pub struct Metrics {
 
 impl Metrics {
     /// Total bytes on air under the given weights:
-    /// `tokens·token_bytes + packets·header_bytes`.
+    /// `tokens·token_bytes + packets·header_bytes`, plus any coded
+    /// packets' coefficient headers.
     pub fn total_bytes(&self, w: CostWeights) -> u64 {
-        self.tokens_sent * w.token_bytes + self.packets_sent * w.packet_header_bytes
+        self.tokens_sent * w.token_bytes
+            + self.packets_sent * w.packet_header_bytes
+            + self.overhead_bytes
     }
 
     /// Add one round's send costs, and its series entry when
@@ -516,6 +522,7 @@ impl Metrics {
     pub(crate) fn add_sends(&mut self, s: &Sends, record_round: bool, informed_nodes: usize) {
         self.tokens_sent += s.tokens;
         self.packets_sent += s.packets;
+        self.overhead_bytes += s.overhead_bytes;
         for (a, b) in self.tokens_by_role.iter_mut().zip(s.by_role) {
             *a += b;
         }
@@ -724,7 +731,7 @@ pub(crate) struct RoundLog {
 /// elapsed rejoins and is immediately re-crashable), then crashes, then
 /// the re-election that re-homes live members of a crashed head.
 pub(crate) struct Rounds<'p> {
-    provider: &'p mut (dyn HierarchyProvider + Send),
+    provider: &'p mut dyn HierarchyProvider,
     faults: FaultPlan,
     trivial: bool,
     validate: bool,
@@ -744,7 +751,7 @@ pub(crate) struct Rounds<'p> {
 
 impl<'p> Rounds<'p> {
     pub(crate) fn new(
-        provider: &'p mut (dyn HierarchyProvider + Send),
+        provider: &'p mut dyn HierarchyProvider,
         cfg: &RunConfig<'_>,
         tracing: bool,
     ) -> Rounds<'p> {
@@ -925,7 +932,7 @@ impl<'t> Engine<'t> {
     /// count, or (with `validate_hierarchy`) on an invalid hierarchy.
     pub fn run<P: Protocol + Send>(
         self,
-        provider: &mut (dyn HierarchyProvider + Send),
+        provider: &mut dyn HierarchyProvider,
         protocols: &mut [P],
         assignment: &[Vec<TokenId>],
     ) -> RunReport {
@@ -1010,7 +1017,7 @@ impl<'t> Engine<'t> {
 
         // The delivery plane: gate chain, held delayed envelopes and the
         // optional reliability layer. A trivial plan allocates nothing.
-        let mut plane: Plane<'_, (Payload, bool)> = Plane::new(&faults, cfg.reliable, n);
+        let mut plane = Plane::new(&faults, cfg.reliable, n);
 
         for round in 0..cfg.max_rounds {
             let (ctx, log) = rounds.build();
@@ -1104,7 +1111,7 @@ impl<'t> Engine<'t> {
                 // fresh sends.
                 if !is_down(i) {
                     for rt in plane.due(i, round, |v| csr.has_edge(me, NodeId::from_index(v))) {
-                        sends.charge(rt.item.0.len() as u64, role);
+                        sends.charge(&rt.item.0, role);
                         let v = rt.to;
                         if let Some((payload, directed)) =
                             plane.resend(round, i, rt, is_down(v), &mut rec)
@@ -1327,9 +1334,9 @@ pub(crate) struct Traced<'t> {
 }
 
 impl Record for Traced<'_> {
-    fn record(&mut self, round: usize, event: obs::Event) {
+    fn record_bytes(&mut self, round: usize, event: obs::Event, overhead: u64) {
         let w = self.weights;
-        let bytes = |count: u64| count * w.token_bytes + w.packet_header_bytes;
+        let bytes = |count: u64| count * w.token_bytes + w.packet_header_bytes + overhead;
         let r = round as u64;
         match event {
             obs::Event::HeadBroadcast {
@@ -1361,6 +1368,7 @@ impl Record for Traced<'_> {
 pub(crate) struct Sends {
     tokens: u64,
     packets: u64,
+    overhead_bytes: u64,
     by_role: [u64; 3],
     dropped_unicasts: u64,
     retransmits: u64,
@@ -1371,6 +1379,7 @@ impl Sends {
     pub(crate) fn add(&mut self, other: &Sends) {
         self.tokens += other.tokens;
         self.packets += other.packets;
+        self.overhead_bytes += other.overhead_bytes;
         for (a, b) in self.by_role.iter_mut().zip(other.by_role) {
             *a += b;
         }
@@ -1378,10 +1387,12 @@ impl Sends {
         self.retransmits += other.retransmits;
     }
 
-    /// Charge one packet of `cost` tokens sent by a `role` node.
-    pub(crate) fn charge(&mut self, cost: u64, role: Role) {
+    /// Charge one packet carrying `payload`, sent by a `role` node.
+    pub(crate) fn charge(&mut self, payload: &Payload, role: Role) {
+        let cost = payload.len() as u64;
         self.tokens += cost;
         self.packets += 1;
+        self.overhead_bytes += payload.overhead_bytes();
         self.by_role[role_slot(role)] += cost;
     }
 
@@ -1397,10 +1408,10 @@ impl Sends {
         rec: &mut impl Record,
     ) -> &'a [NodeId] {
         let count = out.payload.len() as u64;
-        self.charge(count, role);
+        self.charge(&out.payload, role);
         let (node, role) = (me.0 as u64, obs_role(role));
         let token = out.payload.first().expect("non-empty payload").0;
-        rec.record(
+        rec.record_bytes(
             round,
             match out.dest {
                 Destination::Broadcast => obs::Event::HeadBroadcast {
@@ -1417,6 +1428,7 @@ impl Sends {
                     dst: v.0 as u64,
                 },
             },
+            out.payload.overhead_bytes(),
         );
         if out.retransmit {
             self.retransmits += 1;

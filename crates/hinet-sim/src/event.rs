@@ -38,7 +38,7 @@
 //! travels (a [`Transport::send`], a delayed one tagged for its due round)
 //! and when acks travel (on the next round's markers).
 
-use crate::delivery::{self, note_fault, Fate, Gates, Record, Tally};
+use crate::delivery::{self, note_fault, Fate, Gates, Item, Record, Tally};
 use crate::engine::{
     local_view, lockstep_wall, missing_tokens, record_message, resolve_event_threads, restart,
     MessageRecord, Metrics, NodeStall, Outcome, RoundCtx, RoundLog, Rounds, RunConfig, RunReport,
@@ -290,15 +290,16 @@ struct NodeState {
     plane_sent: u32,
     /// Reliability sender window — `Some` only when the run is reliable;
     /// carries every unacked envelope and its retransmit timer.
-    window: Option<SenderWindow<(Payload, bool)>>,
+    window: Option<SenderWindow<Item>>,
     /// Reliability receiver ledger: per-sender cumulative-ack state and
     /// rid-level dedup for retransmitted envelopes.
     ledger: ReceiverLedger,
     /// In-flight count (delays + window) at the end of the last receive
     /// step, so each round reports a delta to the oracle.
     last_inflight: i64,
-    /// Buffered trace events, `(round, events)` ascending.
-    evts: Vec<(usize, Vec<Event>)>,
+    /// Buffered trace events with their byte overheads, `(round, events)`
+    /// ascending.
+    evts: Vec<(usize, Vec<(Event, u64)>)>,
     /// Buffered message records (rounds ascending).
     msgs: Vec<MessageRecord>,
 }
@@ -430,7 +431,7 @@ pub(crate) fn run<P: Protocol + Send>(
     cfg: RunConfig<'_>,
     start: Instant,
     tracer: &mut Tracer,
-    provider: &mut (dyn HierarchyProvider + Send),
+    provider: &mut dyn HierarchyProvider,
     protocols: &mut [P],
     assignment: &[Vec<TokenId>],
     universe: TokenSet,
@@ -675,12 +676,12 @@ pub(crate) fn run<P: Protocol + Send>(
                 rec.tracer.reaffiliation(r as u64, node, old, new);
             }
             for evts in &mut per_node {
-                for e in evts
+                for (e, overhead) in evts
                     .next_if(|(round, _)| *round == r)
                     .into_iter()
                     .flat_map(|(_, e)| e)
                 {
-                    rec.record(r, e);
+                    rec.record_bytes(r, e, overhead);
                 }
             }
         }
@@ -941,7 +942,7 @@ fn step_send<P: Protocol>(
         st.informed = inf;
     }
     let neighbors = ctx.csr.neighbors(me);
-    let mut evts: Option<Vec<Event>> = shared.tracing.then(Vec::new);
+    let mut evts: Option<Vec<(Event, u64)>> = shared.tracing.then(Vec::new);
     let role = ctx.hierarchy.role(me);
     let send = |round: usize, to: NodeId, seq: u32, payload: Payload, directed: bool, rid: u64| {
         shared.transport.send(Envelope {
@@ -967,7 +968,7 @@ fn step_send<P: Protocol>(
         if !ctx.csr.has_edge(me, v) {
             continue; // no edge this round; the timer re-fires later
         }
-        st.rep.sends.charge(rt.item.0.len() as u64, role);
+        st.rep.sends.charge(&rt.item.0, role);
         let down = ctx.down[rt.to];
         if shared
             .gates

@@ -1,5 +1,6 @@
 //! The per-node protocol interface.
 
+use crate::gf2::Gf2Vec;
 use crate::token::{TokenId, TokenSet};
 use hinet_cluster::hierarchy::{ClusterId, Role};
 use hinet_graph::graph::NodeId;
@@ -50,9 +51,9 @@ impl Destination {
     }
 }
 
-/// A message payload: either a single token (the per-round selections of
-/// Algorithm 1 and KLO) or a whole token set (Algorithm 2's `broadcast
-/// TA`, flooding).
+/// A message payload: a single token (the per-round selections of
+/// Algorithm 1 and KLO), a whole token set (Algorithm 2's `broadcast
+/// TA`, flooding), or a network-coded packet (RLNC).
 ///
 /// Single-token pushes carry the id inline — no allocation per message.
 /// Set payloads are `Arc`-shared: a broadcast delivered to a thousand
@@ -65,14 +66,28 @@ pub enum Payload {
     One(TokenId),
     /// A whole token set, shared between all its deliveries.
     Set(Arc<TokenSet>),
+    /// A random linear combination of tokens over GF(2): one token's worth
+    /// of data plus its `k`-bit coefficient vector, shared between all its
+    /// deliveries.
+    Coded(Arc<Gf2Vec>),
 }
 
 impl Payload {
-    /// Number of tokens carried — the paper's per-message cost.
+    /// Number of tokens carried — the paper's per-message cost. A coded
+    /// packet counts as one.
     pub fn len(&self) -> usize {
         match self {
-            Payload::One(_) => 1,
+            Payload::One(_) | Payload::Coded(_) => 1,
             Payload::Set(s) => s.len(),
+        }
+    }
+
+    /// Bytes on air beyond the token cost: a coded packet's `⌈k/8⌉`-byte
+    /// coefficient header, zero for token payloads.
+    pub fn overhead_bytes(&self) -> u64 {
+        match self {
+            Payload::Coded(v) => v.len().div_ceil(8) as u64,
+            _ => 0,
         }
     }
 
@@ -83,30 +98,35 @@ impl Payload {
     }
 
     /// The smallest carried token id — what the trace schema records as
-    /// the message's representative `token`.
+    /// the message's representative `token`. For a coded packet this is
+    /// its pivot (lowest nonzero coefficient).
     pub fn first(&self) -> Option<TokenId> {
         match self {
             Payload::One(t) => Some(*t),
             Payload::Set(s) => s.min(),
+            Payload::Coded(v) => v.leading().map(|i| TokenId(i as u64)),
         }
     }
 
-    /// Ascending iterator over the carried tokens.
+    /// Ascending iterator over the carried tokens; a coded packet yields
+    /// its pivot.
     pub fn iter(&self) -> PayloadIter<'_> {
         match self {
-            Payload::One(t) => PayloadIter::One(Some(*t)),
+            Payload::One(_) | Payload::Coded(_) => PayloadIter::One(self.first()),
             Payload::Set(s) => PayloadIter::Set(s.iter()),
         }
     }
 
     /// Union the carried tokens into `ta` — word-parallel for set
-    /// payloads, a single bit-set for one-token pushes.
+    /// payloads, a single bit-set for one-token pushes. A coded packet
+    /// isolates no token on its own, so it adds nothing.
     pub fn union_into(&self, ta: &mut TokenSet) {
         match self {
             Payload::One(t) => {
                 ta.insert(*t);
             }
             Payload::Set(s) => ta.union_with(s),
+            Payload::Coded(_) => {}
         }
     }
 
@@ -338,6 +358,16 @@ mod tests {
         let empty = Payload::Set(Arc::new(TokenSet::new()));
         assert!(empty.is_empty());
         assert_eq!(empty.first(), None);
+
+        let mut v = Gf2Vec::zero(20);
+        v.set(6);
+        v.set(11);
+        let coded = Payload::Coded(Arc::new(v));
+        assert_eq!(coded.len(), 1, "a coded packet costs one token");
+        assert_eq!(coded.first(), Some(TokenId(6)), "first = pivot");
+        assert_eq!(coded.overhead_bytes(), 3, "20 coefficient bits");
+        assert_eq!(one.overhead_bytes(), 0);
+        assert_eq!(std::mem::size_of::<Payload>(), 16);
 
         let mut ta = TokenSet::new();
         one.union_into(&mut ta);

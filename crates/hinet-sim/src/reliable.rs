@@ -4,8 +4,8 @@
 //! the round it was sent. Once the fault plane can drop and delay
 //! deliveries, recovery used to be the job of each algorithm's bespoke ARQ
 //! (`retransmit` in Algorithms 1/2 only). This module generalises that
-//! into one state machine every executor shares — the lock-step engine,
-//! the event driver, and the RLNC executor all recover through it:
+//! into one state machine both executors share — the lock-step engine
+//! and the event driver recover every protocol, RLNC included, through it:
 //!
 //! * **Sender side** ([`SenderWindow`]): every payload handed to a link is
 //!   registered under a per-link monotone *reliable id* (`rid`). A pending

@@ -18,7 +18,7 @@
 use hinet_cluster::clustering::ClusteringKind;
 use hinet_cluster::ctvg::{FlatProvider, HierarchyProvider};
 use hinet_cluster::generators::{ClusteredMobilityGen, HiNetConfig, HiNetGen};
-use hinet_core::netcode::{run_rlnc, RlncReport};
+use hinet_core::netcode::Unclustered;
 use hinet_core::params::{alg1_plan, klo_plan, remark1_phases, required_phase_length, PhasePlan};
 use hinet_core::runner::{run_algorithm, AlgorithmKind};
 use hinet_graph::generators::{
@@ -206,60 +206,7 @@ fn fraction_to_ppm(name: &str, value: f64) -> Result<u32, String> {
     Ok((value * 1_000_000.0).round() as u32)
 }
 
-/// Outcome of [`Scenario::run_traced`]: the engine report for
-/// token-forwarding algorithms, or the network-coding report for `rlnc`.
-#[derive(Clone, Debug)]
-pub enum ScenarioReport {
-    /// A round-engine run ([`hinet_sim::engine::Engine`]).
-    Engine(RunReport),
-    /// An RLNC run ([`hinet_core::netcode::run_rlnc`]).
-    Rlnc(RlncReport),
-}
-
-impl ScenarioReport {
-    /// Whether dissemination completed.
-    pub fn completed(&self) -> bool {
-        match self {
-            ScenarioReport::Engine(r) => r.completed(),
-            ScenarioReport::Rlnc(r) => r.completed(),
-        }
-    }
-
-    /// Rounds executed.
-    pub fn rounds_executed(&self) -> usize {
-        match self {
-            ScenarioReport::Engine(r) => r.rounds_executed,
-            ScenarioReport::Rlnc(r) => r.rounds_executed,
-        }
-    }
-
-    /// Round at which dissemination completed, if it did.
-    pub fn completion_round(&self) -> Option<usize> {
-        match self {
-            ScenarioReport::Engine(r) => r.completion_round,
-            ScenarioReport::Rlnc(r) => r.completion_round,
-        }
-    }
-
-    /// The engine report, when the scenario ran on the round engine.
-    pub fn engine(&self) -> Option<&RunReport> {
-        match self {
-            ScenarioReport::Engine(r) => Some(r),
-            ScenarioReport::Rlnc(_) => None,
-        }
-    }
-
-    /// The RLNC report, when the scenario ran the coded executor.
-    pub fn rlnc(&self) -> Option<&RlncReport> {
-        match self {
-            ScenarioReport::Engine(_) => None,
-            ScenarioReport::Rlnc(r) => Some(r),
-        }
-    }
-}
-
-/// Algorithm names the CLI accepts (every [`Scenario::kind`] selector plus
-/// the out-of-engine `rlnc` executor).
+/// Algorithm names the CLI accepts (every [`Scenario::kind`] selector).
 pub const ALGORITHMS: &[&str] = &[
     "alg1",
     "remark1",
@@ -505,13 +452,6 @@ impl Scenario {
                     .into(),
             );
         }
-        if self.mode == ExecMode::Event && self.algorithm == "rlnc" {
-            return Err(
-                "--mode event only applies to round-engine algorithms; rlnc runs the coded \
-                 executor outside the engine"
-                    .into(),
-            );
-        }
         if self.max_delay == 0 {
             return Err("--max-delay must be at least 1 round".into());
         }
@@ -657,8 +597,7 @@ impl Scenario {
     }
 
     /// The algorithm selector with its derived parameterisation. Errors on
-    /// unknown names and on `rlnc`, which runs outside the round engine
-    /// (see [`Scenario::run_traced`]).
+    /// unknown names.
     pub fn kind(&self) -> Result<AlgorithmKind, String> {
         let (n, k, alpha, l, theta, t) = (self.n, self.k, self.alpha, self.l, self.theta, self.t);
         Ok(match self.algorithm.as_str() {
@@ -682,15 +621,17 @@ impl Scenario {
             "delta" => AlgorithmKind::DeltaFlood {
                 rounds: self.budget,
             },
+            "rlnc" => AlgorithmKind::Rlnc { k, seed: self.seed },
             other => return Err(format!("unknown algorithm '{other}'")),
         })
     }
 
-    /// The hierarchy-carrying dynamics provider for round-engine runs.
-    pub fn provider(
-        &self,
-        kind: &AlgorithmKind,
-    ) -> Result<Box<dyn HierarchyProvider + Send>, String> {
+    /// The hierarchy-carrying dynamics provider for `kind`: for RLNC, the
+    /// flat [`Scenario::rlnc_provider`] under an all-member hierarchy.
+    pub fn provider(&self, kind: &AlgorithmKind) -> Result<Box<dyn HierarchyProvider>, String> {
+        if let AlgorithmKind::Rlnc { .. } = kind {
+            return Ok(Box::new(Unclustered::new(self.rlnc_provider()?)));
+        }
         let (n, l, theta, seed) = (self.n, self.l, self.theta, self.seed);
         Ok(match self.dynamics.as_str() {
             "hinet" => {
@@ -824,11 +765,10 @@ impl Scenario {
         }
     }
 
-    /// Execute the scenario, streaming events and meta stamps into
-    /// `tracer`: the engine path for token-forwarding algorithms, the
-    /// coded executor for `rlnc`. All runs use the default round-robin
-    /// token assignment and [`hinet_sim::CostWeights::default`].
-    pub fn run_traced(&self, tracer: &mut Tracer) -> Result<ScenarioReport, String> {
+    /// Execute the scenario on the round engine, streaming events and meta
+    /// stamps into `tracer`. All runs use the default round-robin token
+    /// assignment and [`hinet_sim::CostWeights::default`].
+    pub fn run_traced(&self, tracer: &mut Tracer) -> Result<RunReport, String> {
         self.run_traced_with_oracle(tracer, false)
     }
 
@@ -838,18 +778,17 @@ impl Scenario {
     /// [`hinet_cluster::stability::stream::StabilityStream`] at the
     /// scenario's own `(T, L)`, emitting `stability_window` events and
     /// attributing incomplete runs to the exact violated definition and
-    /// round. The oracle is lock-step only: it is rejected for `rlnc`
-    /// (which runs outside the round engine) and for `--mode event`
-    /// (whose rounds are reassembled post-hoc, not observed live).
+    /// round. It is rejected for `rlnc` (which has no cluster hierarchy to
+    /// verify) and for `--mode event` (whose rounds are reassembled
+    /// post-hoc, not observed live).
     pub fn run_traced_with_oracle(
         &self,
         tracer: &mut Tracer,
         oracle: bool,
-    ) -> Result<ScenarioReport, String> {
+    ) -> Result<RunReport, String> {
         if oracle && self.algorithm == "rlnc" {
             return Err(
-                "--stability-stream only applies to round-engine algorithms; rlnc runs the \
-                 coded executor outside the round engine"
+                "--stability-stream is not supported for rlnc (no cluster hierarchy to verify)"
                     .into(),
             );
         }
@@ -864,20 +803,6 @@ impl Scenario {
         self.stamp_meta(tracer);
         let assignment = round_robin_assignment(self.n, self.k);
         let faults = self.fault_plan();
-        if self.algorithm == "rlnc" {
-            let mut provider = self.rlnc_provider()?;
-            let report = run_rlnc(
-                provider.as_mut(),
-                &assignment,
-                self.seed,
-                RunConfig::new()
-                    .max_rounds(self.budget)
-                    .faults(faults)
-                    .reliable(self.reliable)
-                    .tracer(tracer),
-            );
-            return Ok(ScenarioReport::Rlnc(report));
-        }
         let kind = self.kind()?;
         let mut provider = self.provider(&kind)?;
         // The oracle checks the (T, L) the dynamics actually promise: the
@@ -902,7 +827,7 @@ impl Scenario {
                 .stability_oracle(oracle.then_some((oracle_t, self.l)))
                 .tracer(tracer),
         );
-        Ok(ScenarioReport::Engine(report))
+        Ok(report)
     }
 }
 
@@ -1248,12 +1173,17 @@ mod tests {
         let mut tracer = Tracer::new(ObsConfig::full());
         let report = sc.run_traced(&mut tracer).unwrap();
         assert!(report.completed());
-        assert!(report.rlnc().is_some());
         let parsed = ParsedTrace::parse_jsonl(&tracer.to_jsonl()).unwrap();
         assert_eq!(parsed.meta_get("algorithm"), Some("rlnc"));
+        assert_eq!(parsed.counters.packets_sent, report.metrics.packets_sent);
         assert_eq!(
-            parsed.counters.packets_sent,
-            report.rlnc().unwrap().packets_sent
+            parsed.counters.bytes_sent,
+            report.total_bytes(),
+            "both byte counts include the coefficient headers"
+        );
+        assert_eq!(
+            parsed.counters.tokens_by_role[2],
+            report.metrics.tokens_sent
         );
         assert_eq!(Scenario::from_meta(&parsed).unwrap(), sc);
     }

@@ -23,8 +23,8 @@
 use hinet::core::runner::run_algorithm;
 use hinet::rt::check::check;
 use hinet::rt::obs::{Event, ObsConfig, ParsedTrace, Tracer};
-use hinet::scenario::{Scenario, ScenarioReport};
-use hinet::sim::engine::RunConfig;
+use hinet::scenario::Scenario;
+use hinet::sim::engine::{RunConfig, RunReport};
 use hinet::sim::token::round_robin_assignment;
 use hinet_sim::ExecMode;
 
@@ -61,7 +61,7 @@ fn scenario(algorithm: &str, dynamics: &str, n: usize, k: usize, seed: u64) -> S
     }
 }
 
-fn record(sc: &Scenario) -> (ScenarioReport, String) {
+fn record(sc: &Scenario) -> (RunReport, String) {
     let mut tracer = Tracer::new(ObsConfig::full());
     let report = sc.run_traced(&mut tracer).expect("scenario must run");
     (report, tracer.to_jsonl())
@@ -86,8 +86,7 @@ fn chaotic(base: Scenario, fault_seed: u64, mode: ExecMode) -> Scenario {
 
 /// (a) One recovery path for every protocol: under loss + delay + dup +
 /// reorder the reliability layer still completes dissemination — HiNet
-/// Algorithms 1 and 2 and the KLO flood in both execution modes, RLNC
-/// through its own engine.
+/// Algorithms 1 and 2, the KLO flood and RLNC, in both execution modes.
 #[test]
 fn chaos_with_reliability_still_completes_everywhere() {
     check("chaos_reliable_completes", 12, |ctx| {
@@ -97,11 +96,7 @@ fn chaos_with_reliability_still_completes_everywhere() {
             ("klo-flood", "flat-1"),
             ("rlnc", "flat-1"),
         ]);
-        let &mode = if algorithm == "rlnc" {
-            &ExecMode::Lockstep
-        } else {
-            ctx.pick(&[ExecMode::Lockstep, ExecMode::Event])
-        };
+        let &mode = ctx.pick(&[ExecMode::Lockstep, ExecMode::Event]);
         let &seed = ctx.pick(&[1u64, 5, 9, 13]);
         let &fault_seed = ctx.pick(&[2u64, 7, 19]);
         let sc = chaotic(scenario(algorithm, dynamics, 18, 3, seed), fault_seed, mode);
@@ -178,11 +173,7 @@ fn chaotic_reliable_runs_replay_byte_for_byte() {
             ("klo-flood", "flat-1"),
             ("rlnc", "flat-1"),
         ]);
-        let &mode = if algorithm == "rlnc" {
-            &ExecMode::Lockstep
-        } else {
-            ctx.pick(&[ExecMode::Lockstep, ExecMode::Event])
-        };
+        let &mode = ctx.pick(&[ExecMode::Lockstep, ExecMode::Event]);
         let &seed = ctx.pick(&[2u64, 6, 11]);
         let &fault_seed = ctx.pick(&[3u64, 8, 21]);
         let sc = chaotic(scenario(algorithm, dynamics, 18, 3, seed), fault_seed, mode);
@@ -217,11 +208,8 @@ fn duplicates_never_double_count() {
             fault_seed,
             ..plain.clone()
         };
-        let (pr, a) = record(&plain);
-        let (dr, b) = record(&dupped);
-        let (ScenarioReport::Engine(pe), ScenarioReport::Engine(de)) = (&pr, &dr) else {
-            panic!("engine algorithms report engine runs");
-        };
+        let (pe, a) = record(&plain);
+        let (de, b) = record(&dupped);
         assert_eq!(
             de.completion_round, pe.completion_round,
             "{algorithm} (seed={seed}): duplication changed the completion round"
@@ -258,16 +246,16 @@ fn duplicates_never_double_count() {
     });
 }
 
-/// Run an engine scenario in `mode` on exactly `threads` workers and parse
-/// its trace.
+/// Run a scenario in `mode` on exactly `threads` workers and parse its
+/// trace.
 fn trace_in(sc: &Scenario, mode: ExecMode, threads: usize) -> ParsedTrace {
     ParsedTrace::parse_jsonl(&jsonl_in(sc, mode, threads)).expect("trace parses")
 }
 
-/// Run an engine scenario in `mode` on exactly `threads` workers and
-/// serialise its trace.
+/// Run a scenario in `mode` on exactly `threads` workers and serialise
+/// its trace.
 fn jsonl_in(sc: &Scenario, mode: ExecMode, threads: usize) -> String {
-    let kind = sc.kind().expect("engine algorithm");
+    let kind = sc.kind().expect("known algorithm");
     let mut provider = sc.provider(&kind).expect("provider");
     let mut tracer = Tracer::new(ObsConfig::full());
     run_algorithm(
@@ -296,6 +284,7 @@ fn lockstep_and_event_traces_agree_under_chaos() {
         ("alg1", "hinet"),
         ("alg2", "hinet"),
         ("klo-flood", "flat-1"),
+        ("rlnc", "flat-1"),
     ] {
         for seed in [1u64, 5, 9] {
             for fault_seed in [2u64, 7, 19] {

@@ -58,7 +58,6 @@ fn scenario(algorithm: &str, dynamics: &str, n: usize, k: usize, seed: u64) -> S
 fn record(sc: &Scenario) -> (hinet_sim::RunReport, String) {
     let mut tracer = Tracer::new(ObsConfig::full());
     let report = sc.run_traced(&mut tracer).expect("scenario must run");
-    let report = report.engine().expect("engine scenario").clone();
     (report, tracer.to_jsonl())
 }
 

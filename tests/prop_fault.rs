@@ -17,8 +17,8 @@
 
 use hinet::rt::check::check;
 use hinet::rt::obs::{Event, ObsConfig, ParsedTrace, Tracer};
-use hinet::scenario::{Scenario, ScenarioReport};
-use hinet::sim::engine::Outcome;
+use hinet::scenario::Scenario;
+use hinet::sim::engine::{Outcome, RunReport};
 use hinet::sim::fault::Partition;
 use std::collections::BTreeSet;
 
@@ -55,7 +55,7 @@ fn scenario(algorithm: &str, dynamics: &str, n: usize, k: usize, seed: u64) -> S
     }
 }
 
-fn record(sc: &Scenario) -> (ScenarioReport, String) {
+fn record(sc: &Scenario) -> (RunReport, String) {
     let mut tracer = Tracer::new(ObsConfig::full());
     let report = sc.run_traced(&mut tracer).expect("scenario must run");
     (report, tracer.to_jsonl())
@@ -91,20 +91,18 @@ fn bounded_loss_with_retransmission_still_completes() {
             "{algorithm} at {loss_ppm} ppm (n={n}, seed={seed}, fault_seed={fault_seed}) \
              did not complete"
         );
-        if let ScenarioReport::Engine(r) = &report {
+        assert!(
+            matches!(report.outcome, Outcome::Completed { .. }),
+            "completed run must report Outcome::Completed, got: {}",
+            report.outcome
+        );
+        // Any loss that mattered was recovered by the wrapper; losses
+        // only ever *delay*, so drops and retransmits move together.
+        if report.metrics.retransmits > 0 {
             assert!(
-                matches!(r.outcome, Outcome::Completed { .. }),
-                "completed run must report Outcome::Completed, got: {}",
-                r.outcome
+                report.metrics.faults_injected > 0,
+                "retransmissions without any injected fault at {loss_ppm} ppm"
             );
-            // Any loss that mattered was recovered by the wrapper; losses
-            // only ever *delay*, so drops and retransmits move together.
-            if r.metrics.retransmits > 0 {
-                assert!(
-                    r.metrics.faults_injected > 0,
-                    "retransmissions without any injected fault at {loss_ppm} ppm"
-                );
-            }
         }
     });
 }
@@ -212,14 +210,11 @@ fn full_run_partitions_starve_the_cut_off_side() {
             "{algorithm} on {dynamics} (seed={seed}, cut={cut}) completed across a \
              full-run partition"
         );
-        if let ScenarioReport::Engine(r) = &report {
-            assert!(
-                matches!(r.outcome, Outcome::AssumptionViolated { def: 2, .. }),
-                "{algorithm} (seed={seed}, cut={cut}): expected a def-2 violation, \
-                 got: {}",
-                r.outcome
-            );
-        }
+        assert!(
+            matches!(report.outcome, Outcome::AssumptionViolated { def: 2, .. }),
+            "{algorithm} (seed={seed}, cut={cut}): expected a def-2 violation, got: {}",
+            report.outcome
+        );
     });
 }
 

@@ -346,9 +346,10 @@ fn corpus_scenarios_stream_equals_batch() {
         let sc = ScenarioFile::load(&path)
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()))
             .scenario;
-        let Ok(kind) = sc.kind() else {
-            continue; // rlnc runs outside the round engine: no hierarchy
-        };
+        if sc.algorithm == "rlnc" {
+            continue; // flat coded dissemination: no cluster hierarchy
+        }
+        let kind = sc.kind().expect("corpus scenario algorithm");
         let mut provider = sc.provider(&kind).expect("corpus scenario provider");
         let rounds = sc.budget.clamp(1, 48);
         let trace = CtvgTrace::capture(provider.as_mut(), rounds);

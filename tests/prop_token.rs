@@ -33,7 +33,7 @@ fn arb_k(c: &mut CaseCtx) -> u64 {
 fn share(s: &TokenSet) -> TokenSet {
     match Outgoing::broadcast_set(s).payload {
         Payload::Set(shared) => TokenSet::clone(&shared),
-        Payload::One(_) => unreachable!("broadcast_set builds a set payload"),
+        _ => unreachable!("broadcast_set builds a set payload"),
     }
 }
 
